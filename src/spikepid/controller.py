@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grids import ValueGrid, encode, make_grid
 from .netlist import Netlist, export_netlist
 from .reference import PidGains
-from .units import AdderUnit, InputSpec, build_adder
+from .units import InputSpec, build_adder
 
 __all__ = [
     "GridSpec",
@@ -215,6 +217,11 @@ class NpidNetwork:
         self._tick = 0
         self._trace: SpikeTrace | None = None
         self._raster_on = False
+        # Per unit, (id, layer) of each neuron in eval_bins' pos, neg,
+        # reduce order; built on the first raster tick.  Declared here:
+        # an attribute added after __init__ slows every later step's
+        # attribute loads.
+        self._raster_neurons: list[list[tuple[str, str]]] | None = None
 
     # -- control loop --------------------------------------------------------
 
@@ -250,23 +257,20 @@ class NpidNetwork:
         rows.append((tick, f"target[{t_bin}]", "input"))
         rows.append((tick, f"measurement[{m_bin}]", "input"))
         rows.append((tick, f"derivative[{d_bin}]", "input"))
+        if self._raster_neurons is None:
+            self._raster_neurons = [[(n.id, n.layer) for n in unit.neuron_specs()]
+                                    for unit in self.units]
+        err_ids, int_ids, ctl_ids = self._raster_neurons
 
-        def run(unit: AdderUnit, bins):
-            out, pos, neg, red = unit.eval_bins(bins)
-            for k in range(unit.pos_count):
-                if pos[k]:
-                    rows.append((tick, f"{unit.name}.agg_pos[{k}]", "aggregate-pos"))
-            for k in range(unit.neg_count):
-                if neg[k]:
-                    rows.append((tick, f"{unit.name}.agg_neg[{k}]", "aggregate-neg"))
-            for r in range(unit.n_out):
-                if red[r]:
-                    rows.append((tick, f"{unit.name}.reduce[{r}]", "reduce"))
-            return out
+        def run(unit, neurons, bins):
+            winners, pos, neg, red = unit.eval_bins([bins])
+            fired = np.flatnonzero(np.concatenate([pos[0], neg[0], red[0]]))
+            rows.extend((tick, *neurons[k]) for k in fired.tolist())
+            return int(winners[0])
 
-        e_bin = run(self.error_unit, (t_bin, m_bin))
-        i_bin = run(self.integral_unit, (self.integral_bin, e_bin))
-        u_bin = run(self.control_unit, (e_bin, i_bin, d_bin))
+        e_bin = run(self.error_unit, err_ids, (t_bin, m_bin))
+        i_bin = run(self.integral_unit, int_ids, (self.integral_bin, e_bin))
+        u_bin = run(self.control_unit, ctl_ids, (e_bin, i_bin, d_bin))
         return e_bin, i_bin, u_bin
 
     def reset(self) -> None:

@@ -26,7 +26,7 @@ from .plant import (
     plant_step,
     sense,
 )
-from .reference import PidGains, PidState, _boundary_ladders, pid_step
+from .reference import PidGains, PidState, pid_step, round_to_grid
 from .units import build_adder
 
 __all__ = [
@@ -80,7 +80,6 @@ class ExperimentConfig:
     rate: float = 70.0
     physics_substeps: int = 10
     battery_beta: float = 0.0
-    seed: int = 0
     label: str = ""
 
     def validate(self) -> None:
@@ -289,16 +288,21 @@ class AdderCheckReport:
                 f"[{'OK' if self.ok else 'MISMATCH'}] ({self.elapsed_s:.2f}s)")
 
 
+# Input pairs per eval_bins call.  Bounds the call's firing arrays, one
+# byte per pair for each of the adder's neurons, whatever n is.
+VERIFY_CHUNK = 4096
+
+
 def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
-                 quantized: bool = False, lo: float = -1.25, hi: float = 1.25,
-                 chunk: int = 4096) -> AdderCheckReport:
+                 quantized: bool = False, lo: float = -1.25,
+                 hi: float = 1.25) -> AdderCheckReport:
     """Exhaustively compare a two-input adder's spike propagation with the
     arithmetic oracle over all n^2 input-bin pairs.
 
     The canonical setup adds two populations on [lo, hi] into an output
-    grid spanning the full sum range with 2n-1 values.  The oracle bins
-    come from round_to_grid (clamp + mode rounding on the grid values),
-    never from the spiking path.
+    grid spanning the full sum range with 2n-1 values.  The spiking bins
+    come from AdderUnit.eval_bins, the oracle bins from round_to_grid on
+    the summed grid values; the oracle never touches the spiking path.
     """
     if n > 1001:
         raise ValueError("verification enumerates n^2 pairs; n must be <= 1001")
@@ -312,66 +316,21 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     report = AdderCheckReport(n=n, distribution=distribution, mode=mode,
                               quantized=quantized, pairs=n * n,
                               exact=0, within_one=0, max_deviation=0)
-    oracle = _GridRounder(g_out, mode)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start:start + chunk]
-        idx = np.array(block)
-        got = _eval_pairs_chunk(unit, idx)
-        want = oracle.bins(vals[idx[:, 0]] + vals[idx[:, 1]])
+    for start in range(0, n * n, VERIFY_CHUNK):
+        flat = np.arange(start, min(start + VERIFY_CHUNK, n * n))
+        idx = np.column_stack(np.divmod(flat, n))  # row-major (i, j)
+        got = unit.eval_bins(idx)[0]
+        want = round_to_grid(g_out, vals[idx[:, 0]] + vals[idx[:, 1]], mode)
         dev = np.abs(got - want)
         report.exact += int((dev == 0).sum())
         report.within_one += int((dev <= 1).sum())
         report.max_deviation = max(report.max_deviation, int(dev.max()))
-        if len(report.mismatches) < 10:
-            for k in np.flatnonzero(dev != 0)[:10]:
-                report.mismatches.append(
-                    (int(idx[k, 0]), int(idx[k, 1]), int(got[k]), int(want[k]))
-                )
-                if len(report.mismatches) >= 10:
-                    break
+        for k in np.flatnonzero(dev)[:10 - len(report.mismatches)]:
+            report.mismatches.append(
+                (int(idx[k, 0]), int(idx[k, 1]), int(got[k]), int(want[k]))
+            )
     report.elapsed_s = time.perf_counter() - t0
     return report
-
-
-class _GridRounder:
-    """Vectorized round_to_grid: the oracle's boundary ladders evaluated
-    with searchsorted over whole arrays of sums."""
-
-    def __init__(self, grid: ValueGrid, mode: str):
-        self.zero = grid.zero_index
-        up, down = _boundary_ladders(grid, mode)
-        self.up = np.asarray(up)
-        self.down = np.asarray(down)
-
-    def bins(self, s: np.ndarray) -> np.ndarray:
-        pos = s >= 0
-        out = np.empty(s.shape, dtype=np.int64)
-        out[pos] = self.zero + np.searchsorted(self.up, s[pos], side="right")
-        out[~pos] = self.zero - np.searchsorted(self.down, -s[~pos], side="right")
-        return out
-
-
-def _eval_pairs_chunk(unit, idx: np.ndarray) -> np.ndarray:
-    """Vectorized literal propagation for a chunk of (i, j) bin pairs."""
-    w0 = unit._weight_arrs[0][idx[:, 0]]
-    w1 = unit._weight_arrs[1][idx[:, 1]]
-    s = w0 + w1
-    pos_fire = s[:, None] >= unit._thr_pos_arr[None, :]
-    neg_fire = (-s)[:, None] >= unit._thr_neg_arr[None, :]
-    pad = np.zeros((s.size, 1), dtype=bool)
-    agg = np.hstack([pos_fire, neg_fire, pad])
-    red = (
-        2 * agg[:, unit._exc1].astype(np.int64)
-        + 2 * agg[:, unit._exc2].astype(np.int64)
-        - 2 * agg[:, unit._inh1].astype(np.int64)
-        - 2 * agg[:, unit._inh2].astype(np.int64)
-    )
-    fire = red >= 1
-    counts = fire.sum(axis=1)
-    if not np.all(counts == 1):
-        raise AssertionError("reduce layer winner not unique during verification")
-    return fire.argmax(axis=1)
 
 
 # -- throughput ---------------------------------------------------------------
@@ -624,6 +583,5 @@ def load_config(path) -> ExperimentConfig:
         duration=exp.get("duration", 20.0),
         rate=rate,
         battery_beta=plant_d.get("battery_beta", 0.0),
-        seed=exp.get("seed", 0),
         label=exp.get("label", ""),
     )

@@ -14,8 +14,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grids import ValueGrid, encode
-from .units import FLOAT_EPSILON, choose_scale, quantize_weight, round_half_away
+from .units import choose_scale, quantize_weight, round_half_away
 
 __all__ = [
     "PidGains",
@@ -23,7 +25,6 @@ __all__ = [
     "pid_step",
     "QuantPidState",
     "PidOracle",
-    "quantized_pid_step",
     "round_to_grid",
 ]
 
@@ -112,14 +113,26 @@ def _boundary_ladders(grid: ValueGrid, mode: str):
     return up, down
 
 
-def round_to_grid(grid: ValueGrid, x: float, mode: str = "nearest") -> int:
-    """Bin index of x rounded onto the grid (clamping is implicit: every
-    boundary passed is one bin away from zero, and the count saturates)."""
-    up, down = _boundary_ladders(grid, mode)
-    z = grid.zero_index
+def _count_boundaries(zero: int, up, down, x):
+    """Bin of x on a ladder pair: zero plus the number of up boundaries x
+    has reached, or, for negative x, zero minus the number of down
+    boundaries -x has reached.  Clamping is implicit: the count saturates
+    at the ladder's length.  x is a scalar (bisect over list ladders) or
+    a numpy array (searchsorted, same rule elementwise)."""
+    if isinstance(x, np.ndarray):
+        return np.where(x >= 0, zero + np.searchsorted(up, x, side="right"),
+                        zero - np.searchsorted(down, -x, side="right"))
     if x >= 0:
-        return z + bisect_right(up, x)
-    return z - bisect_right(down, -x)
+        return zero + bisect_right(up, x)
+    return zero - bisect_right(down, -x)
+
+
+def round_to_grid(grid: ValueGrid, x, mode: str = "nearest"):
+    """Bin index of x rounded onto the grid, clamped to its ends.  x may
+    be a float (returns an int) or a numpy array (returns an int64 array
+    of bins)."""
+    up, down = _boundary_ladders(grid, mode)
+    return _count_boundaries(grid.zero_index, up, down, x)
 
 
 # -- bin-level oracle --------------------------------------------------------
@@ -149,20 +162,16 @@ class _StageModel:
             self.tables = [[quantize_weight(w, scale) for w in row] for row in tables]
             self.up = [max(1, round_half_away(b * scale)) for b in up]
             self.down = [max(1, round_half_away(b * scale)) for b in down]
-            self.neg_eps = 1
         else:
             self.tables = [list(row) for row in tables]
             self.up = up
             self.down = down
-            self.neg_eps = FLOAT_EPSILON
 
     def bin(self, *bins) -> int:
         s = self.tables[0][bins[0]]
         for row, b in zip(self.tables[1:], bins[1:]):
             s = s + row[b]
-        if s >= 0:
-            return self.zero + bisect_right(self.up, s)
-        return self.zero - bisect_right(self.down, -s)
+        return _count_boundaries(self.zero, self.up, self.down, s)
 
 
 class PidOracle:
@@ -221,15 +230,3 @@ class PidOracle:
             encode(tm, measurement),
             encode(self.grids.derivative, derivative),
         )
-
-
-def quantized_pid_step(state: QuantPidState, target: float, measurement: float,
-                       derivative: float, grids, gains: PidGains, dt: float,
-                       lam: float = 1.0, mode: str = "nearest",
-                       quantized: bool = False) -> int:
-    """One oracle step from raw inputs; returns the output bin and
-    advances the integral bin in place.  For long runs build a PidOracle
-    once instead (this convenience rebuilds the stage tables per call).
-    """
-    oracle = PidOracle(grids, gains, dt, lam=lam, mode=mode, quantized=quantized)
-    return oracle.step(state, target, measurement, derivative)

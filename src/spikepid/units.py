@@ -20,6 +20,13 @@ exactly 2N + 1 neurons.
 
 Weights quantize to even integers in [-256, 254] (8-bit with one sign bit
 and an implicit factor 2); thresholds quantize to plain integers.
+
+AdderUnit.eval_bins is the one literal propagation: it evaluates a batch
+of input-bin rows through both layers and returns every firing mask.
+eval_unit, eval_all_pairs, the controller's raster mode and the
+exhaustive verification all call it.  AdderUnit.winner_bin is the fast
+path the controller ticks on; it skips the layers through the prefix
+property and is bit-identical to eval_bins.
 """
 
 from __future__ import annotations
@@ -159,8 +166,8 @@ class AdderUnit:
         self.pos_count = len(thr_pos)
         self.neg_count = len(thr_neg)
 
-        self._thr_pos_arr = np.asarray(thr_pos)
-        self._thr_neg_arr = np.asarray(thr_neg)
+        self._thr_pos_col = np.asarray(thr_pos)[:, None]
+        self._thr_neg_col = np.asarray(thr_neg)[:, None]
         self._weight_arrs = [np.asarray(w) for w in weights]
         self._build_reduce_wiring()
 
@@ -215,7 +222,7 @@ class AdderUnit:
         Uses the prefix-firing property: the reduce winner is the largest
         output value whose aggregate threshold is reached, found by
         bisection over the same thresholds the spiking path compares
-        against.  Bit-identical to eval_unit (tested exhaustively).
+        against.  Bit-identical to eval_bins (tested exhaustively).
         """
         s = self.potential(bins)
         if s >= 0:
@@ -225,59 +232,48 @@ class AdderUnit:
         return self.zero_index - max(k, 0)
 
     def eval_bins(self, bins):
-        """Literal spike propagation for the given input bins.
+        """Literal spike propagation for a batch of input-bin rows.
 
-        Returns (output bin, pos firing mask, neg firing mask, reduce
-        firing mask).  Raises if the reduce layer does not produce exactly
-        one winner.
+        bins: integer array [B, P], one bin per input population per row.
+        Every aggregate neuron compares the row's potential (summed left
+        to right, as in potential) with its threshold; every reduce
+        neuron sums its excitatory and inhibitory aggregate sources and
+        compares with REDUCE_THRESHOLD.  Returns (winners[B],
+        pos[B, pos_count], neg[B, neg_count], reduce[B, n_out]), the
+        last three as boolean firing masks (views of arrays this call
+        allocates).  Raises if any row's reduce layer does not produce
+        exactly one winner.
         """
-        s = self.potential(bins)
-        pos_fire = s >= self._thr_pos_arr
-        neg_fire = -s >= self._thr_neg_arr
-        agg = np.concatenate([pos_fire, neg_fire, [False]])  # [-1] pads "no synapse"
-        red = (
-            REDUCE_EXC * agg[self._exc1].astype(np.int64)
-            + REDUCE_EXC * agg[self._exc2].astype(np.int64)
-            + REDUCE_INH * agg[self._inh1].astype(np.int64)
-            + REDUCE_INH * agg[self._inh2].astype(np.int64)
-        )
+        bins = np.asarray(bins)
+        s = self._weight_arrs[0][bins[:, 0]]
+        for p in range(1, len(self._weight_arrs)):
+            s = s + self._weight_arrs[p][bins[:, p]]
+        pc, nc = self.pos_count, self.neg_count
+        # Firing with one row per aggregate neuron (pos, then neg) and one
+        # column per batch row, so each reduce source is a contiguous row.
+        # The last row pads the wiring tables' -1 ("no synapse").
+        agg = np.zeros((pc + nc + 1, len(s)), dtype=bool)
+        np.greater_equal(s, self._thr_pos_col, out=agg[:pc])
+        np.greater_equal(-s, self._thr_neg_col, out=agg[pc:-1])
+        fire = agg.view(np.int8)
+        red = (REDUCE_EXC * (fire[self._exc1] + fire[self._exc2])
+               + REDUCE_INH * (fire[self._inh1] + fire[self._inh2]))
         red_fire = red >= REDUCE_THRESHOLD
-        winners = np.flatnonzero(red_fire)
-        if winners.size != 1:
-            raise AssertionError(
-                f"reduce layer of {self.name!r} produced {winners.size} winners"
-            )
-        return int(winners[0]), pos_fire, neg_fire, red_fire
-
-    def eval_all_pairs(self):
-        """Spiking evaluation of every input-bin combination (vectorized
-        literal propagation).  Returns an array of output bins shaped by
-        the input sizes.  Only the propagation is vectorized; the wiring
-        and comparisons are the same as eval_bins."""
-        sizes = [spec.grid.n for spec in self.inputs]
-        s = self._weight_arrs[0]
-        for w in self._weight_arrs[1:]:
-            s = np.add.outer(s, w)
-        flat = s.reshape(-1)
-        pos_fire = flat[:, None] >= self._thr_pos_arr[None, :]
-        neg_fire = (-flat)[:, None] >= self._thr_neg_arr[None, :]
-        pad = np.zeros((flat.size, 1), dtype=bool)
-        agg = np.hstack([pos_fire, neg_fire, pad])
-        red = (
-            REDUCE_EXC * agg[:, self._exc1].astype(np.int64)
-            + REDUCE_EXC * agg[:, self._exc2].astype(np.int64)
-            + REDUCE_INH * agg[:, self._inh1].astype(np.int64)
-            + REDUCE_INH * agg[:, self._inh2].astype(np.int64)
-        )
-        red_fire = red >= REDUCE_THRESHOLD
-        counts = red_fire.sum(axis=1)
-        if not np.all(counts == 1):
+        counts = red_fire.sum(axis=0, dtype=np.int32)
+        if (counts != 1).any():
             bad = int(np.flatnonzero(counts != 1)[0])
             raise AssertionError(
                 f"reduce layer of {self.name!r} produced {counts[bad]} winners "
-                f"for flat input combination {bad}"
+                f"for input bins {bins[bad].tolist()}"
             )
-        return red_fire.argmax(axis=1).reshape(sizes)
+        return red_fire.argmax(axis=0), agg[:pc].T, agg[pc:-1].T, red_fire.T
+
+    def eval_all_pairs(self):
+        """Spiking evaluation of every input-bin combination: an array of
+        output bins shaped by the input sizes."""
+        sizes = [spec.grid.n for spec in self.inputs]
+        bins = np.indices(sizes).reshape(len(sizes), -1).T
+        return self.eval_bins(bins)[0].reshape(sizes)
 
     # -- netlist pieces ----------------------------------------------------
 
@@ -450,5 +446,5 @@ def eval_unit(unit: AdderUnit, spikes):
         if hot.size != 1:
             raise ValueError(f"input {p} pattern is not one-hot")
         bins.append(int(hot[0]))
-    out_bin, pos_fire, neg_fire, _ = unit.eval_bins(bins)
-    return one_hot(unit.n_out, out_bin), np.concatenate([pos_fire, neg_fire])
+    winners, pos_fire, neg_fire, _ = unit.eval_bins([bins])
+    return one_hot(unit.n_out, winners[0]), np.concatenate([pos_fire[0], neg_fire[0]])

@@ -221,6 +221,30 @@ class TestTrace:
         assert all(c <= unit + inputs for c in per_tick.values())
         assert len(per_tick) == ticks
 
+    def test_raster_tick_names_one_reduce_per_unit_and_aggregate_prefixes(self):
+        """Per tick and unit: one reduce row, naming the traced bin, and
+        aggregate rows that are a prefix of one sub-population."""
+        net = build_npid(default_config(n=15, quantized=True))
+        net.record_raster(True)
+        rng = np.random.default_rng(5)
+        ticks = 30
+        for _ in range(ticks):
+            net.step(*rng.uniform(0.0, 4.0, 2), rng.uniform(-0.5, 0.5))
+        tr = net.fetch_trace()
+        bins = {"error": tr.error_bin, "integral": tr.integral_bin,
+                "control": tr.output_bin}
+        for tick in range(ticks):
+            ids = [nid for t, nid, _ in tr.raster if t == tick]
+            for unit in net.units:
+                reduce = [i for i in ids if i.startswith(f"{unit.name}.reduce[")]
+                assert reduce == [f"{unit.name}.reduce[{bins[unit.name][tick]}]"]
+                pos = [i for i in ids if i.startswith(f"{unit.name}.agg_pos[")]
+                neg = [i for i in ids if i.startswith(f"{unit.name}.agg_neg[")]
+                assert bool(pos) != bool(neg)
+                for group, fired in (("agg_pos", pos), ("agg_neg", neg)):
+                    assert fired == [f"{unit.name}.{group}[{k}]"
+                                     for k in range(len(fired))]
+
     def test_step_response_error_walks_to_zero_bin(self):
         # Simulated approach: measurement converges onto the target, so
         # the error bin trajectory must end at the zero bin.

@@ -11,7 +11,6 @@ from spikepid.reference import (
     PidState,
     QuantPidState,
     pid_step,
-    quantized_pid_step,
     round_to_grid,
 )
 
@@ -92,13 +91,28 @@ class TestRoundToGrid:
         with pytest.raises(ValueError):
             round_to_grid(g, 1.5)
 
+    @pytest.mark.parametrize("mode", ["floor", "nearest"])
+    @pytest.mark.parametrize("dist", ["uniform", "quadratic"])
+    def test_array_equals_scalar_calls(self, mode, dist):
+        """The array form applies the scalar rule elementwise, on exact
+        boundaries, out-of-range values and signed zero too."""
+        g = make_grid(-2, 2, 9, dist)
+        vals = np.asarray(g.values)
+        mids = (vals[1:] + vals[:-1]) / 2
+        x = np.concatenate([vals, mids, np.nextafter(vals, 0), np.nextafter(mids, 0),
+                            [-0.0, 0.0, 2.5, -2.5, 1e9, -1e9, np.inf, -np.inf]])
+        got = round_to_grid(g, x, mode)
+        assert got.dtype == np.int64
+        assert got.tolist() == [round_to_grid(g, v, mode) for v in x.tolist()]
+        assert round_to_grid(g, np.array([-0.0]), mode)[0] == g.zero_index
+
 
 class TestOracle:
     def test_all_zero_inputs_zero_bin(self):
         cfg = default_config(n=15)
         grids = cfg.build_grids()
         st = QuantPidState(integral_bin=grids.integral.zero_index)
-        out = quantized_pid_step(st, 0.0, 0.0, 0.0, grids, GAINS, DT)
+        out = PidOracle(grids, GAINS, DT).step(st, 0.0, 0.0, 0.0)
         assert out == grids.output.zero_index
         assert st.integral_bin == grids.integral.zero_index
 
@@ -108,7 +122,7 @@ class TestOracle:
         cfg = default_config(n=15)
         grids = cfg.build_grids()
         st = QuantPidState(integral_bin=grids.integral.zero_index)
-        out = quantized_pid_step(st, 1.5, 0.0, 0.0, grids, GAINS, DT)
+        out = PidOracle(grids, GAINS, DT).step(st, 1.5, 0.0, 0.0)
         assert out == grids.output.n - 1
         assert grids.output.values[out] == 1.25
 

@@ -151,14 +151,41 @@ class TestEvalUnit:
     def test_fast_path_equals_literal_propagation(self):
         g = make_grid(-1.25, 1.25, 21, "quadratic")
         out = make_grid(-2.5, 2.5, 41, "quadratic")
+        pairs = np.indices((21, 21)).reshape(2, -1).T
         for mode in ("floor", "nearest"):
             for quantized in (False, True):
                 u = build_adder([(g, 1, 1.0), (g, -1, 0.7)], out,
                                 mode=mode, quantized=quantized)
-                for i in range(21):
-                    for j in range(21):
-                        lit, _, _, _ = u.eval_bins((i, j))
-                        assert u.winner_bin(i, j) == lit
+                lit, _, _, _ = u.eval_bins(pairs)
+                for (i, j), b in zip(pairs.tolist(), lit.tolist()):
+                    assert u.winner_bin(i, j) == b
+
+    @pytest.mark.parametrize("mode", ["floor", "nearest"])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_three_input_batch_equals_fast_path(self, mode, quantized):
+        """A control-unit-shaped adder (error, integral and derivative
+        inputs with the stock gains): batched winners equal winner_bin
+        row by row, and every row fires a prefix of one sub-population."""
+        err = make_grid(-4, 4, 9)
+        integ = make_grid(-0.25, 0.25, 9, "quadratic")
+        deriv = make_grid(-0.5, 0.5, 9)
+        out = make_grid(-1.25, 1.25, 9)
+        u = build_adder([(err, 1, 0.87), (integ, 1, 0.87 / 0.17),
+                         (deriv, 1, 0.87 * 2.76)], out,
+                        mode=mode, quantized=quantized, name="control")
+        bins = np.indices((9, 9, 9)).reshape(3, -1).T
+        winners, pos, neg, red = u.eval_bins(bins)
+        assert winners.shape == (729,)
+        assert pos.shape == (729, u.pos_count)
+        assert neg.shape == (729, u.neg_count)
+        assert red.shape == (729, u.n_out)
+        for row, b in zip(bins.tolist(), winners.tolist()):
+            assert u.winner_bin(*row) == b
+        assert (red.sum(axis=1) == 1).all()
+        assert (red.argmax(axis=1) == winners).all()
+        for mask in (pos, neg):
+            count = mask.sum(axis=1)
+            assert (mask == (np.arange(mask.shape[1]) < count[:, None])).all()
 
 
 def _oracle_check(n, dist, mode, quantized, tol):
