@@ -77,8 +77,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     setpoints = [float(s) for s in args.setpoints.split(",")]
     neurons = [int(s) for s in args.neuron_list.split(",")]
-    dist = {n: ("quadratic" if n <= 15 else "uniform") for n in neurons} \
-        if args.distribution == "auto" else args.distribution
+    dist = {n: ("quadratic" if n <= 15 else "uniform") if args.distribution == "auto"
+            else args.distribution for n in neurons}
     rows = sweep(setpoints, neurons, distribution_for=dist, decay=args.decay,
                  mode=args.mode, quantized=args.quantized,
                  duration=args.duration, rate=args.rate)

@@ -215,7 +215,8 @@ class NpidNetwork:
 
         self.integral_bin = self.grids.integral.zero_index
         self._tick = 0
-        self._trace: SpikeTrace | None = None
+        self._trace: SpikeTrace | None = None  # what step appends to
+        self._recorded: SpikeTrace | None = None  # what fetch_trace returns
         self._raster_on = False
         # Per unit, (id, layer) of each neuron in eval_bins' pos, neg,
         # reduce order; built on the first raster tick.  Declared here:
@@ -274,9 +275,12 @@ class NpidNetwork:
         return e_bin, i_bin, u_bin
 
     def reset(self) -> None:
-        """Zero the integral state and delay buffers; idempotent."""
+        """Zero the integral state and delay buffers and drop the trace,
+        as in a fresh build; idempotent."""
         self.integral_bin = self.grids.integral.zero_index
         self._tick = 0
+        self._trace = self._recorded = None
+        self._raster_on = False
 
     # -- accounting and introspection ----------------------------------------
 
@@ -288,19 +292,21 @@ class NpidNetwork:
         return unit, inputs
 
     def record_raster(self, on: bool, raster: bool = True) -> None:
-        """Start or stop trace recording.  While on, every tick appends
-        its bins (and, when raster is set, all firing neuron ids)."""
+        """Start a new trace or stop recording.  While on, every tick
+        appends its bins (and, when raster is set, all firing neuron
+        ids); a stopped trace stays fetchable until the next reset."""
         if on:
-            self._trace = SpikeTrace(dt=self.config.dt)
+            self._trace = self._recorded = SpikeTrace(dt=self.config.dt)
             self._raster_on = raster
             self._tick = 0
         else:
+            self._trace = None
             self._raster_on = False
 
     def fetch_trace(self) -> SpikeTrace:
-        if self._trace is None:
-            raise ValueError("tracing was never enabled; call record_raster first")
-        return self._trace
+        if self._recorded is None:
+            raise ValueError("no trace since build or reset; call record_raster first")
+        return self._recorded
 
     def export_netlist(self) -> Netlist:
         """Serialize the controller as a flat neuron/synapse graph; the

@@ -432,17 +432,13 @@ def compare(cfgs) -> list[dict]:
 def sweep(setpoints, neuron_counts, distribution_for=None, **kwargs) -> list[dict]:
     """Cross product of set-points and population sizes.
 
-    distribution_for optionally maps a neuron count to its distribution
-    (defaults to uniform everywhere).
+    distribution_for optionally maps a neuron count to its distribution;
+    counts it leaves out are uniform.
     """
-    cfgs = []
-    for n in neuron_counts:
-        dist = (distribution_for or {}).get(n, "uniform") \
-            if isinstance(distribution_for, dict) else (distribution_for or "uniform")
-        for sp in setpoints:
-            cfgs.append(step_experiment(setpoint=sp, n=n, distribution=dist,
-                                        **kwargs))
-    return compare(cfgs)
+    dists = distribution_for or {}
+    return compare([step_experiment(setpoint=sp, n=n,
+                                    distribution=dists.get(n, "uniform"), **kwargs)
+                    for n in neuron_counts for sp in setpoints])
 
 
 def write_summary_csv(rows, path) -> None:

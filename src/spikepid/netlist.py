@@ -1,10 +1,10 @@
 """Netlist export/import: the network as a flat neuron + synapse graph.
 
 The netlist is the serializable form of one or more adder units plus
-their input populations.  Neuron ids are structured ("error.agg_pos[3]",
-"target[7]") but the file is a plain graph; NetlistRuntime re-evaluates
-it from the graph alone, which gives an independent check that the
-exported wiring reproduces the units' behavior bit-exactly.
+their input populations.  NetlistRuntime re-evaluates it from the graph
+alone (levels from zero-delay depth, unit names from meta["unit_outputs"],
+neuron ids only as lookup keys), which gives an independent check that
+the exported wiring reproduces the units' behavior bit-exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .units import LAYER_INPUT, NeuronSpec, SynapseSpec
+import numpy as np
+
+from .units import LAYER_INPUT, LAYER_REDUCE, NeuronSpec, SynapseSpec
 
 __all__ = ["Netlist", "export_netlist", "NetlistRuntime"]
 
@@ -141,94 +143,89 @@ def export_netlist(units, inputs, wiring=None) -> Netlist:
 class NetlistRuntime:
     """Evaluates a netlist directly from its graph.
 
-    Units are recovered from neuron-id prefixes only to get a layer-by-
-    layer topological order; potentials, thresholds and the winner-takes-
-    all all come from the serialized weights.  Delay-1 synapses read the
-    previous tick's firing set, which the runtime buffers between calls.
+    A non-input neuron's level is its depth in the zero-delay synapse
+    graph; levels run in order, each neuron adding its active incoming
+    weights in synapse file order (as the units do) and firing at its
+    threshold.  Delay-1 synapses read last tick's firing.  Unit u's
+    reduce neurons are the next meta["unit_outputs"][u]["n"] reduce-
+    layer neurons in file order, and its winner is the one that fires.
     """
 
     def __init__(self, netlist: Netlist):
         netlist.validate()
-        self.netlist = netlist
-        self.by_id = {n.id: n for n in netlist.neurons}
-        # incoming[dst] keeps file order so float accumulation matches the
-        # builder's population order exactly.
-        self.incoming: dict[str, list[SynapseSpec]] = {}
-        for s in netlist.synapses:
-            self.incoming.setdefault(s.dst, []).append(s)
+        neurons, synapses = netlist.neurons, netlist.synapses
+        n, m = len(neurons), len(synapses)
+        index = {nrn.id: k for k, nrn in enumerate(neurons)}
+        self._inputs = {nrn.id: k for k, nrn in enumerate(neurons)
+                        if nrn.layer == LAYER_INPUT}
+        layer = np.array([nrn.layer for nrn in neurons], dtype=str)
+        threshold = np.fromiter((nrn.threshold for nrn in neurons), np.float64, n)
+        src = np.fromiter((index[s.src] for s in synapses), np.int32, m)
+        dst = np.fromiter((index[s.dst] for s in synapses), np.int32, m)
+        weight = np.fromiter((s.weight for s in synapses), np.float64, m)
+        delayed = np.fromiter((s.delay == 1 for s in synapses), bool, m)
 
-        self.input_pops: dict[str, list[str]] = {}
-        self.unit_neurons: dict[str, list[str]] = {}
-        for n in netlist.neurons:
-            base = n.id.split("[")[0]
-            if n.layer == LAYER_INPUT:
-                self.input_pops.setdefault(base.split(".")[0], []).append(n.id)
-            else:
-                self.unit_neurons.setdefault(base.split(".")[0], []).append(n.id)
-        self._order = self._topo_order()
-        self._prev_fired: set[str] = set()
+        # Kahn's algorithm, one frontier at a time, on the zero-delay graph.
+        src0, dst0 = src[~delayed], dst[~delayed]
+        indegree = np.bincount(dst0, minlength=n)
+        level = np.full(n, -1, dtype=np.int32)
+        frontier, depth = indegree == 0, 0
+        while frontier.any():
+            level[frontier] = depth
+            indegree -= np.bincount(dst0[frontier[src0]], minlength=n)
+            frontier, depth = (indegree == 0) & (level < 0), depth + 1
+        if (level < 0).any():
+            raise ValueError("zero-delay synapses form a cycle through "
+                             f"{neurons[int(np.argmax(level < 0))].id!r}")
+        level[layer == LAYER_INPUT] = -1  # set by the stimuli, never evaluated
 
-    def _topo_order(self) -> list[str]:
-        deps = {u: set() for u in self.unit_neurons}
-        for s in self.netlist.synapses:
-            if s.delay != 0:
-                continue
-            src_unit = s.src.split(".")[0]
-            dst_unit = s.dst.split(".")[0]
-            if (
-                src_unit != dst_unit
-                and src_unit in self.unit_neurons
-                and dst_unit in self.unit_neurons
-            ):
-                deps[dst_unit].add(src_unit)
-        order, ready = [], [u for u, d in deps.items() if not d]
-        done = set()
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            done.add(u)
-            for v, d in deps.items():
-                if v not in done and v not in ready and d <= done:
-                    ready.append(v)
-        if len(order) != len(deps):
-            raise ValueError("netlist zero-delay unit graph has a cycle")
-        return order
+        # Row 0 of the firing buffer is this tick, row 1 last tick; a
+        # delay-1 synapse reads its source through the offset n.
+        self._fired = np.zeros((2, n), dtype=bool)
+        src[delayed] += n
+        into = level[dst]
+        self._levels = []
+        for depth in np.unique(level[level >= 0]):
+            nodes = np.flatnonzero(level == depth).astype(np.int32)
+            mine = into == depth  # a mask keeps the synapses in file order
+            self._levels.append((nodes, threshold[nodes], src[mine],
+                                 np.searchsorted(nodes, dst[mine]).astype(np.int32),
+                                 weight[mine]))
+
+        reduce = np.flatnonzero(layer == LAYER_REDUCE).astype(np.int32)
+        outputs = netlist.meta.get("unit_outputs", {})
+        sizes = [grid["n"] for grid in outputs.values()]
+        if sum(sizes) != len(reduce):
+            raise ValueError(f"meta unit_outputs has {sum(sizes)} output bins but the "
+                             f"netlist has {len(reduce)} reduce neurons")
+        self._units = list(zip(outputs, np.split(reduce, np.cumsum(sizes)[:-1])))
 
     def reset(self) -> None:
-        self._prev_fired = set()
+        self._fired[:] = False
 
     def step(self, stimuli: dict) -> dict:
         """One tick.  stimuli maps input population name -> hot bin index.
-        Returns {unit name: winning reduce bin} and updates the delay
-        buffer.  Raises if any reduce layer fails to pick a single winner.
-        """
-        fired: set[str] = set()
-        for name, hot in stimuli.items():
-            fired.add(f"{name}[{hot}]")
-
-        def potential(nid: str):
-            pot = None
-            for s in self.incoming.get(nid, ()):
-                active = s.src in (fired if s.delay == 0 else self._prev_fired)
-                if active:
-                    pot = s.weight if pot is None else pot + s.weight
-            return 0 if pot is None else pot
-
-        winners: dict[str, int] = {}
-        for unit in self._order:
-            ids = self.unit_neurons[unit]
-            agg = [i for i in ids if ".reduce[" not in i]
-            red = [i for i in ids if ".reduce[" in i]
-            for nid in agg:
-                if potential(nid) >= self.by_id[nid].threshold:
-                    fired.add(nid)
-            hot = []
-            for nid in red:
-                if potential(nid) >= self.by_id[nid].threshold:
-                    fired.add(nid)
-                    hot.append(nid)
-            if len(hot) != 1:
-                raise AssertionError(f"unit {unit!r} reduce produced {len(hot)} winners")
-            winners[unit] = int(hot[0].split("[")[1].rstrip("]"))
-        self._prev_fired = fired
+        Returns {unit name: winning reduce bin}.  Raises ValueError for a
+        stimulus naming no input neuron, AssertionError if a reduce layer
+        fails to pick a single winner."""
+        hot = [self._inputs.get(f"{pop}[{b}]", -1) for pop, b in stimuli.items()]
+        if -1 in hot:
+            pop, b = list(stimuli.items())[hot.index(-1)]
+            raise ValueError(f"stimulus {pop!r} bin {b!r} names no input neuron")
+        fired = self._fired
+        fired[1] = fired[0]
+        fired[0] = False
+        fired[0, hot] = True
+        now, both = fired[0], fired.reshape(-1)
+        for nodes, threshold, src, dst, weight in self._levels:
+            on = np.flatnonzero(np.take(both, src))
+            # bincount adds each neuron's active weights in file order.
+            pot = np.bincount(dst[on], weights=weight[on], minlength=len(nodes))
+            now[nodes] = pot >= threshold
+        winners = {}
+        for name, reduce in self._units:
+            won = np.flatnonzero(now[reduce])
+            if len(won) != 1:
+                raise AssertionError(f"unit {name!r} reduce produced {len(won)} winners")
+            winners[name] = int(won[0])
         return winners

@@ -32,6 +32,16 @@ def test_sweep(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_sweep_distribution_flag_applies_to_every_size(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--setpoints", "1.0", "--neuron-list", "15,31",
+               "--distribution", "quadratic", "--duration", "1", "--out", str(out)])
+    assert rc == 0
+    header, *rows = out.read_text().splitlines()
+    col = header.split(",").index("distribution")
+    assert [r.split(",")[col] for r in rows] == ["quadratic", "quadratic"]
+
+
 def test_compare(capsys):
     rc = main(["compare", "--setpoint", "1.5", "--neurons", "15",
                "--duration", "2"])

@@ -135,6 +135,32 @@ class TestReset:
         assert a.integral_bin == b.integral_bin
 
 
+class TestTraceLifecycle:
+    def test_stop_keeps_trace_and_stops_appending(self):
+        net = build_npid(default_config(n=15))
+        net.record_raster(True)
+        for _ in range(3):
+            net.step(2.0, 0.5, 0.1)
+        rows = len(net.fetch_trace().raster)
+        net.record_raster(False)
+        for _ in range(5):
+            net.step(2.0, 0.5, 0.1)
+        tr = net.fetch_trace()
+        assert len(tr) == len(tr.error_bin) == 3
+        assert len(tr.raster) == rows
+
+    def test_reset_drops_trace(self):
+        net = build_npid(default_config(n=15))
+        net.record_raster(True, raster=False)
+        net.step(2.0, 0.5, 0.1)
+        net.reset()
+        with pytest.raises(ValueError):
+            net.fetch_trace()
+        net.step(2.0, 0.5, 0.1)
+        with pytest.raises(ValueError):
+            net.fetch_trace()
+
+
 class TestWindUp:
     def test_integral_bin_never_leaves_grid(self):
         net = build_npid(default_config(n=15))

@@ -135,6 +135,12 @@ class TestBatch:
         assert len(rows) == 4
         assert {r["n"] for r in rows} == {15, 63}
 
+    def test_sweep_distribution_map_defaults_to_uniform(self):
+        rows = sweep([1.0], [15, 31], distribution_for={15: "quadratic"},
+                     duration=1.0)
+        assert [(r["n"], r["distribution"]) for r in rows] == [
+            (15, "quadratic"), (31, "uniform")]
+
     def test_empty_sweep(self):
         assert sweep([], [151]) == []
         assert sweep([1.0], []) == []

@@ -8,7 +8,9 @@ import pytest
 from spikepid.controller import build_npid, default_config
 from spikepid.grids import encode, make_grid
 from spikepid.netlist import Netlist, NetlistRuntime, export_netlist
-from spikepid.units import SynapseSpec, build_adder, eval_unit, one_hot
+from spikepid.reference import round_to_grid
+from spikepid.units import (LAYER_INPUT, NeuronSpec, SynapseSpec, build_adder,
+                            eval_unit, one_hot)
 
 
 def fig2_setup(quantized=False):
@@ -150,3 +152,106 @@ class TestRuntime:
             tr = net.fetch_trace()
             assert (w["error"], w["integral"], w["control"]) == (
                 tr.error_bin[k], tr.integral_bin[k], tr.output_bin[k])
+
+
+def random_stimuli(net, ticks, seed):
+    """Seeded controller inputs and the stimuli that encode them."""
+    tm, dg = net.grids.target_measurement, net.grids.derivative
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(ticks):
+        t, y = rng.uniform(0, 4, 2).tolist()
+        d = float(rng.uniform(-0.5, 0.5))
+        out.append(((t, y, d), {"target": encode(tm, t), "measurement": encode(tm, y),
+                                "derivative": encode(dg, d)}))
+    return out
+
+
+def replay(rt, stimuli):
+    return [rt.step(s) for _, s in stimuli]
+
+
+class TestGraphRuntime:
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_full_n_controller_matches_step(self, quantized):
+        net = build_npid(default_config(n=151, decay=0.9, quantized=quantized))
+        net.record_raster(True, raster=False)
+        rt = NetlistRuntime(net.export_netlist())
+        for k, (x, s) in enumerate(random_stimuli(net, 2000, seed=11)):
+            net.step(*x)
+            w = rt.step(s)
+            tr = net.fetch_trace()
+            assert (w["error"], w["integral"], w["control"]) == (
+                tr.error_bin[k], tr.integral_bin[k], tr.output_bin[k]), k
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_adder_all_pairs_replay_from_file(self, quantized, tmp_path):
+        g_in = make_grid(-1.25, 1.25, 63)
+        g_out = make_grid(-2.5, 2.5, 125)
+        unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
+                           quantized=quantized, name="check")
+        path = tmp_path / "adder.json"
+        export_netlist([unit], {"a": g_in, "b": g_in}).save(path)
+        rt = NetlistRuntime(Netlist.load(path))
+        got = np.array([[rt.step({"a": i, "b": j})["check"] for j in range(63)]
+                        for i in range(63)])
+        assert np.array_equal(got, unit.eval_all_pairs())
+        if not quantized:
+            vals = np.asarray(g_in.values)
+            want = round_to_grid(g_out, vals[:, None] + vals[None, :], "nearest")
+            assert np.array_equal(got, want)
+
+    def test_opaque_ids_replay_unchanged(self):
+        net = build_npid(default_config(n=15, decay=0.9))
+        nl = net.export_netlist()
+        rename = {}
+        for n in nl.neurons:
+            if n.layer != LAYER_INPUT:
+                rename[n.id] = f"x{len(rename)}"
+        opaque = Netlist(
+            neurons=[NeuronSpec(rename.get(n.id, n.id), n.layer, n.threshold)
+                     for n in nl.neurons],
+            synapses=[SynapseSpec(rename.get(s.src, s.src), rename.get(s.dst, s.dst),
+                                  s.weight, s.delay) for s in nl.synapses],
+            meta=nl.meta)
+        stimuli = random_stimuli(net, 300, seed=4)
+        assert replay(NetlistRuntime(opaque), stimuli) == replay(NetlistRuntime(nl), stimuli)
+
+    def test_zero_delay_cycle_rejected_at_construction(self):
+        nl = build_npid(default_config(n=15)).export_netlist()
+
+        def with_back_edge(delay):
+            edge = SynapseSpec("control.reduce[0]", "error.agg_pos[0]", 2, delay)
+            return Netlist(nl.neurons, nl.synapses + [edge], nl.meta)
+
+        NetlistRuntime(with_back_edge(1))  # a delayed back edge is legal
+        with pytest.raises(ValueError, match="cycle"):
+            NetlistRuntime(with_back_edge(0))
+
+    def test_reset_equals_fresh_runtime(self):
+        net = build_npid(default_config(n=15, decay=0.9))
+        nl = net.export_netlist()
+        used = NetlistRuntime(nl)
+        replay(used, random_stimuli(net, 100, seed=1))
+        used.reset()
+        stimuli = random_stimuli(net, 100, seed=2)
+        assert replay(used, stimuli) == replay(NetlistRuntime(nl), stimuli)
+
+    def test_reduce_without_one_winner_raises(self):
+        _, nl = fig2_setup()
+        silent = [NeuronSpec(n.id, n.layer, 99) if n.layer == "reduce" else n
+                  for n in nl.neurons]
+        rt = NetlistRuntime(Netlist(silent, nl.synapses, nl.meta))
+        with pytest.raises(AssertionError, match="0 winners"):
+            rt.step({"a": 1, "b": 1})
+
+    def test_bad_stimulus_rejected_and_state_kept(self):
+        _, nl = fig2_setup()
+        rt = NetlistRuntime(nl)
+        rt.step({"a": 2, "b": 2})
+        for bad in ({"a": 0, "ghost": 1}, {"a": 3, "b": 0}, {"a": -1, "b": 0}):
+            with pytest.raises(ValueError):
+                rt.step(bad)
+        fresh = NetlistRuntime(nl)
+        fresh.step({"a": 2, "b": 2})
+        assert rt.step({"a": 0, "b": 1}) == fresh.step({"a": 0, "b": 1})
