@@ -1,10 +1,25 @@
 """Netlist export/import: the network as a flat neuron + synapse graph.
 
 The netlist is the serializable form of one or more adder units plus
-their input populations.  NetlistRuntime re-evaluates it from the graph
-alone (levels from zero-delay depth, unit names from meta["unit_outputs"],
-neuron ids only as lookup keys), which gives an independent check that
-the exported wiring reproduces the units' behavior bit-exactly.
+their input populations.  In memory it is a list of NeuronSpec and a list
+of SynapseSpec, each synapse naming its endpoints by neuron id.
+
+On disk it is one JSON object, written in columns with synapse endpoints
+as positions in the neuron list (format version 2)::
+
+    {"meta": {..., "version": 2},
+     "neurons": {"id": [...], "layer": [...], "threshold": [...]},
+     "synapses": {"src": [...], "dst": [...], "weight": [...], "delay": [...]}}
+
+Float weights and thresholds round-trip exactly (JSON numbers are written
+with repr); quantized ones stay JSON integers.  "version" is a key of the
+file's meta only: save adds it and load checks and drops it.  Only
+version 2 is read.
+
+NetlistRuntime re-evaluates a netlist from the graph alone (levels from
+zero-delay depth, unit names from meta["unit_outputs"], neuron ids only
+as lookup keys), which gives an independent check that the exported
+wiring reproduces the units' behavior bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +32,33 @@ import numpy as np
 from .units import LAYER_INPUT, LAYER_REDUCE, NeuronSpec, SynapseSpec
 
 __all__ = ["Netlist", "export_netlist", "NetlistRuntime"]
+
+FORMAT_VERSION = 2
+
+
+def _columns(d: dict, section: str, names) -> list[list]:
+    """The named columns of d[section], checked to be equal-length lists."""
+    table = d.get(section)
+    if not isinstance(table, dict):
+        raise ValueError(f"{section} must be an object of columns")
+    cols = []
+    for name in names:
+        col = table.get(name)
+        if not isinstance(col, list):
+            raise ValueError(f"{section}.{name} must be a list")
+        if cols and len(col) != len(cols[0]):
+            raise ValueError(f"{section}.{name} has {len(col)} entries, "
+                             f"{section}.{names[0]} has {len(cols[0])}")
+        cols.append(col)
+    return cols
+
+
+def _check_index(col: list, name: str, n: int) -> None:
+    """Every entry an int in [0, n): a negative one would wrap silently."""
+    if col and (set(map(type, col)) != {int} or min(col) < 0 or max(col) >= n):
+        bad = next(k for k in col if type(k) is not int or not 0 <= k < n)
+        raise ValueError(f"synapses.{name} entry {bad!r} is not a neuron "
+                         f"index in [0, {n})")
 
 
 @dataclass
@@ -37,36 +79,57 @@ class Netlist:
                 raise ValueError(f"synapse delay must be 0 or 1, got {s.delay}")
 
     def to_dict(self) -> dict:
+        """The version-2 file layout (see the module docstring)."""
+        index = {n.id: k for k, n in enumerate(self.neurons)}
         return {
-            "neurons": [
-                {"id": n.id, "layer": n.layer, "threshold": n.threshold}
-                for n in self.neurons
-            ],
-            "synapses": [
-                {"src": s.src, "dst": s.dst, "weight": s.weight, "delay": s.delay}
-                for s in self.synapses
-            ],
-            "meta": self.meta,
+            "meta": {**self.meta, "version": FORMAT_VERSION},
+            "neurons": {
+                "id": [n.id for n in self.neurons],
+                "layer": [n.layer for n in self.neurons],
+                "threshold": [n.threshold for n in self.neurons],
+            },
+            "synapses": {
+                "src": [index[s.src] for s in self.synapses],
+                "dst": [index[s.dst] for s in self.synapses],
+                "weight": [s.weight for s in self.synapses],
+                "delay": [s.delay for s in self.synapses],
+            },
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Netlist":
-        nl = cls(
-            neurons=[
-                NeuronSpec(n["id"], n["layer"], n["threshold"]) for n in d["neurons"]
-            ],
-            synapses=[
-                SynapseSpec(s["src"], s["dst"], s["weight"], s["delay"])
-                for s in d["synapses"]
-            ],
-            meta=d.get("meta", {}),
+        """Read the version-2 layout.  The columns are checked here (equal
+        lengths, unique ids, in-range integer endpoints, delays 0 or 1),
+        so the result needs no validate(); each rejection is a ValueError
+        naming the field."""
+        meta = d.get("meta")
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"meta.version must be {FORMAT_VERSION}, got {version!r}")
+        ids, layer, threshold = _columns(d, "neurons", ("id", "layer", "threshold"))
+        src, dst, weight, delay = _columns(d, "synapses",
+                                           ("src", "dst", "weight", "delay"))
+        if len(set(ids)) != len(ids):
+            raise ValueError("neurons.id has duplicate ids")
+        _check_index(src, "src", len(ids))
+        _check_index(dst, "dst", len(ids))
+        if not set(delay) <= {0, 1}:
+            bad = next(x for x in delay if x not in (0, 1))
+            raise ValueError(f"synapses.delay must be 0 or 1, got {bad!r}")
+        id_at = ids.__getitem__
+        return cls(
+            neurons=list(map(NeuronSpec, ids, layer, threshold)),
+            synapses=list(map(SynapseSpec, map(id_at, src), map(id_at, dst),
+                              weight, delay)),
+            meta={k: v for k, v in meta.items() if k != "version"},
         )
-        nl.validate()
-        return nl
 
     def save(self, path) -> None:
+        # One dumps call without indent: json.dump and indent both fall
+        # back to the pure-Python encoder.
+        text = json.dumps(self.to_dict(), separators=(",", ":"))
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1)
+            f.write(text)
             f.write("\n")
 
     @classmethod

@@ -11,6 +11,7 @@ boundaries, not from propagating spikes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,6 +37,14 @@ class PidGains:
     kp: float = 0.87
     ti: float = 0.17
     td: float = 2.76
+
+    def __post_init__(self):
+        # kp and ti divide (ki = kp/ti, integral bound ti/kp); td = 0 is PI.
+        for name, value in (("kp", self.kp), ("ti", self.ti)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"PidGains.{name} must be finite and > 0, got {value!r}")
+        if not (self.td >= 0 and math.isfinite(self.td)):
+            raise ValueError(f"PidGains.td must be finite and >= 0, got {self.td!r}")
 
     @property
     def ki(self) -> float:

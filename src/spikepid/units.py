@@ -289,40 +289,28 @@ class AdderUnit:
             )
         return out
 
-    def aggregate_id(self, k: int) -> str:
-        if k < self.pos_count:
-            return f"{self.name}.agg_pos[{k}]"
-        return f"{self.name}.agg_neg[{k - self.pos_count}]"
-
     def synapse_specs(self, input_ids, input_delays=None) -> list[SynapseSpec]:
         """Synapses of this unit.  input_ids[p] is a callable mapping a
         bin index of input population p to its source neuron id;
         input_delays[p] is the tick delay of that population's edges."""
         delays = input_delays or [0] * len(self.inputs)
+        ids = [n.id for n in self.neuron_specs()]
+        pc, agg = self.pos_count, self.pos_count + self.neg_count
+        pos_ids, neg_ids, agg_ids = ids[:pc], ids[pc:agg], ids[:agg]
         out = []
         for p, spec in enumerate(self.inputs):
+            d = delays[p]
             for i in range(spec.grid.n):
-                w = self.weights[p][i]
-                src = input_ids[p](i)
-                for k in range(self.pos_count):
-                    out.append(SynapseSpec(src, self.aggregate_id(k), w, delays[p]))
-                for k in range(self.neg_count):
-                    out.append(
-                        SynapseSpec(
-                            src,
-                            self.aggregate_id(self.pos_count + k),
-                            -w,
-                            delays[p],
-                        )
-                    )
-        for r in range(self.n_out):
-            dst = f"{self.name}.reduce[{r}]"
+                w, src = self.weights[p][i], input_ids[p](i)
+                out += [SynapseSpec(src, dst, w, d) for dst in pos_ids]
+                out += [SynapseSpec(src, dst, -w, d) for dst in neg_ids]
+        for r, dst in enumerate(ids[agg:]):
             for exc in (self._exc1[r], self._exc2[r]):
                 if exc >= 0:
-                    out.append(SynapseSpec(self.aggregate_id(int(exc)), dst, REDUCE_EXC))
+                    out.append(SynapseSpec(agg_ids[exc], dst, REDUCE_EXC))
             for inh in (self._inh1[r], self._inh2[r]):
                 if inh >= 0:
-                    out.append(SynapseSpec(self.aggregate_id(int(inh)), dst, REDUCE_INH))
+                    out.append(SynapseSpec(agg_ids[inh], dst, REDUCE_INH))
         return out
 
 

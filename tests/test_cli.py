@@ -79,9 +79,9 @@ def test_export_netlist(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     d = json.loads(out.read_text())
-    unit_neurons = [n for n in d["neurons"] if n["layer"] != "input"]
+    unit_neurons = [layer for layer in d["neurons"]["layer"] if layer != "input"]
     assert len(unit_neurons) == 93
-    assert all(s["weight"] % 2 == 0 for s in d["synapses"])
+    assert all(w % 2 == 0 for w in d["synapses"]["weight"])
 
 
 def test_config_file_drives_run(tmp_path, capsys):

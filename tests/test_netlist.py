@@ -100,8 +100,57 @@ class TestSerialization:
         d = json.loads(path.read_text())
         assert set(d) == {"neurons", "synapses", "meta"}
         assert {"scale", "grids", "mode"} <= set(d["meta"])
-        assert set(d["neurons"][0]) == {"id", "layer", "threshold"}
-        assert set(d["synapses"][0]) == {"src", "dst", "weight", "delay"}
+        assert d["meta"]["version"] == 2
+        assert set(d["neurons"]) == {"id", "layer", "threshold"}
+        assert set(d["synapses"]) == {"src", "dst", "weight", "delay"}
+        assert d["neurons"]["id"] == [n.id for n in nl.neurons]
+        assert all(type(k) is int for k in d["synapses"]["src"] + d["synapses"]["dst"])
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_full_n_round_trip(self, quantized, tmp_path):
+        nl = build_npid(default_config(n=151, quantized=quantized)).export_netlist()
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        nl.save(p1)
+        back = Netlist.load(p1)
+        assert back.neurons == nl.neurons
+        assert back.synapses == nl.synapses
+        assert back.meta == nl.meta
+        if quantized:  # acceptance criterion 4, read through the file
+            for s in back.synapses:
+                assert isinstance(s.weight, int)
+                assert -256 <= s.weight <= 254 and s.weight % 2 == 0
+        back.save(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_v1_file_rejected(self, tmp_path):
+        _, nl = fig2_setup()
+        v1 = {"neurons": [{"id": n.id, "layer": n.layer, "threshold": n.threshold}
+                          for n in nl.neurons],
+              "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
+                            "delay": s.delay} for s in nl.synapses],
+              "meta": nl.meta}
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(v1))
+        with pytest.raises(ValueError, match="meta.version"):
+            Netlist.load(path)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("synapses.src", lambda d: d["synapses"]["src"].__setitem__(0, 17)),
+        ("synapses.dst", lambda d: d["synapses"]["dst"].__setitem__(3, -1)),
+        ("synapses.src", lambda d: d["synapses"]["src"].__setitem__(0, 1.0)),
+        ("synapses.delay", lambda d: d["synapses"]["delay"].pop()),
+        ("synapses.delay", lambda d: d["synapses"]["delay"].__setitem__(0, 2)),
+        ("neurons.threshold", lambda d: d["neurons"]["threshold"].append(1)),
+        ("neurons.id", lambda d: d["neurons"]["id"].__setitem__(1, "a[0]")),
+        ("meta.version", lambda d: d["meta"].__setitem__("version", 3)),
+    ])
+    def test_bad_columns_rejected_by_field(self, field, edit):
+        _, nl = fig2_setup()
+        d = nl.to_dict()
+        Netlist.from_dict(d)  # the unedited dict loads
+        edit(d)
+        with pytest.raises(ValueError, match=field):
+            Netlist.from_dict(d)
 
 
 class TestRuntime:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikepid.controller import default_config
+from spikepid.controller import build_npid, default_config
 from spikepid.grids import make_grid
 from spikepid.reference import (
     PidGains,
@@ -22,6 +22,23 @@ class TestPidGains:
     def test_derived_gains(self):
         assert GAINS.ki == pytest.approx(0.87 / 0.17)
         assert GAINS.kd == pytest.approx(0.87 * 2.76)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kp", 0.0), ("kp", -1.0), ("kp", float("nan")), ("kp", float("inf")),
+        ("ti", 0.0), ("ti", -0.17), ("ti", float("nan")),
+        ("td", -0.5), ("td", float("nan")), ("td", float("inf")),
+    ])
+    def test_bad_gain_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"PidGains.{field} "):
+            PidGains(**{field: value})
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_zero_td_builds_a_pi_controller(self, quantized):
+        net = build_npid(default_config(n=15, quantized=quantized,
+                                        gains=PidGains(td=0.0)))
+        first = net.step(1.5, 0.5, 0.2)
+        net.reset()
+        assert net.step(1.5, 0.5, -0.4) == first  # the derivative has no weight
 
 
 class TestPidStep:
