@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -82,13 +83,35 @@ class ExperimentConfig:
     battery_beta: float = 0.0
     label: str = ""
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """Raise ValueError, naming the field, for a value no run can use."""
         if self.controller not in ("npid", "baseline"):
-            raise ValueError(f"unknown controller {self.controller!r}")
-        if self.duration <= 0 or self.rate <= 0:
-            raise ValueError("duration and rate must be positive")
-        if self.physics_substeps < 1:
-            raise ValueError("physics_substeps must be >= 1")
+            raise ValueError(
+                f"controller must be 'npid' or 'baseline', got {self.controller!r}")
+        for name in ("duration", "rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if (not isinstance(self.physics_substeps, numbers.Integral)
+                or self.physics_substeps < 1):
+            raise ValueError("physics_substeps must be an integer >= 1, "
+                             f"got {self.physics_substeps!r}")
+        if not math.isfinite(self.setpoint):
+            raise ValueError(f"setpoint must be finite, got {self.setpoint!r}")
+        # The sensor and the battery model own their input rules; their
+        # messages start with the argument name, which the prefix turns
+        # into this config's field name.
+        try:
+            SensorModel(quantum=self.sensor_quantum, window=self.sensor_window)
+        except ValueError as e:
+            raise ValueError(f"sensor_{e}") from None
+        try:
+            battery_sag(0.0, self.battery_beta)
+        except ValueError as e:
+            raise ValueError(f"battery_{e}") from None
         self.npid.validate()
 
 
@@ -199,8 +222,7 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
 
 def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     """Closed loop from rest: sense, control, then integrate the plant
-    through the physics sub-steps of one control period."""
-    cfg.validate()
+    through the physics sub-steps of one control period in one call."""
     dt_ctrl = 1.0 / cfg.rate
     dt_phys = dt_ctrl / cfg.physics_substeps
     n_ticks = int(round(cfg.duration * cfg.rate))
@@ -225,15 +247,11 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
         d_meas = -climb
         if net is not None:
             u = net.step(cfg.setpoint, z_meas, d_meas)
-            sp_trace = net.fetch_trace()
-            e_b, i_b, d_b, u_b = (sp_trace.error_bin[k], sp_trace.integral_bin[k],
-                                  sp_trace.deriv_bin[k], sp_trace.output_bin[k])
         else:
             # Same output clamp and integral leak as the spiking
             # controller, so the comparison isolates the position coding.
             u = pid_step(pid_st, cfg.setpoint, z_meas, dt_ctrl, cfg.npid.gains,
                          clamp=(out_grid.lo, out_grid.hi), lam=cfg.npid.decay)
-            e_b = i_b = d_b = u_b = -1
         thrust_cmd = hover + u + battery_sag(plant.t, cfg.battery_beta)
 
         trace.t.append(k * dt_ctrl)
@@ -241,15 +259,19 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
         trace.vz.append(plant.vz)
         trace.z_meas.append(z_meas)
         trace.target.append(cfg.setpoint)
-        trace.error_bin.append(e_b)
-        trace.integral_bin.append(i_b)
-        trace.deriv_bin.append(d_b)
-        trace.u_bin.append(u_b)
         trace.u_newton.append(u)
         trace.thrust_total.append(thrust_cmd)
 
-        for _ in range(cfg.physics_substeps):
-            plant = plant_step(plant, thrust_cmd, dt_phys, cfg.plant)
+        plant = plant_step(plant, thrust_cmd, dt_phys, cfg.plant,
+                           cfg.physics_substeps)
+
+    if net is not None:
+        bins = net.fetch_trace()
+        trace.error_bin, trace.integral_bin = bins.error_bin, bins.integral_bin
+        trace.deriv_bin, trace.u_bin = bins.deriv_bin, bins.output_bin
+    else:
+        trace.error_bin, trace.integral_bin = [-1] * n_ticks, [-1] * n_ticks
+        trace.deriv_bin, trace.u_bin = [-1] * n_ticks, [-1] * n_ticks
 
     meas_grid = cfg.npid.target_grid.build()
     return trace, _metrics(trace, cfg, meas_grid)
@@ -520,35 +542,57 @@ def write_svg(series, path, setpoint: float | None = None, band: float = 0.0,
 # -- config file ----------------------------------------------------------------
 
 
+def _object(value, name: str) -> dict:
+    """A copy of a config object, so reads can pop their keys from it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {name or 'file'} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _no_leftovers(d: dict, prefix: str) -> None:
+    """Every key a section's reads did not pop is unknown, most likely a typo."""
+    if d:
+        names = ", ".join(prefix + key for key in d)
+        raise ValueError(f"unknown config key {names}")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config JSON with sections gains / grids / plant
     / sensor / experiment; every field is optional and defaults to the
-    stock altitude-control setup."""
+    stock altitude-control setup.  Each read pops its key, and a section
+    or key left unread raises ValueError naming it as section.key."""
     with open(path) as f:
-        raw = json.load(f)
+        raw = _object(json.load(f), "")
+    gains_d = _object(raw.pop("gains", {}), "gains")
+    grids = _object(raw.pop("grids", {}), "grids")
+    plant_d = _object(raw.pop("plant", {}), "plant")
+    sensor_d = _object(raw.pop("sensor", {}), "sensor")
+    exp = _object(raw.pop("experiment", {}), "experiment")
+    _no_leftovers(raw, "")
 
-    gains_d = raw.get("gains", {})
-    gains = PidGains(kp=gains_d.get("kp", 0.87), ti=gains_d.get("ti", 0.17),
-                     td=gains_d.get("td", 2.76))
+    gains = PidGains(kp=gains_d.pop("kp", 0.87), ti=gains_d.pop("ti", 0.17),
+                     td=gains_d.pop("td", 2.76))
+    _no_leftovers(gains_d, "gains.")
 
-    grids = raw.get("grids", {})
-    n = grids.get("n", 151)
-    dist = grids.get("distribution", "uniform")
-    exp = raw.get("experiment", {})
-    rate = exp.get("rate", 70.0)
+    n = grids.pop("n", 151)
+    dist = grids.pop("distribution", "uniform")
+    rate = exp.pop("rate", 70.0)
     cfg = experiment_npid_config(n=n, distribution=dist,
-                                 decay=exp.get("decay", 0.92),
-                                 mode=exp.get("mode", "nearest"),
-                                 quantized=exp.get("quantized", False),
+                                 decay=exp.pop("decay", 0.92),
+                                 mode=exp.pop("mode", "nearest"),
+                                 quantized=exp.pop("quantized", False),
                                  rate=rate)
     cfg = replace(cfg, gains=gains)
 
     def grid_override(name, default_spec):
         if name not in grids:
             return default_spec
-        lo, hi = grids[name]["range"]
-        return GridSpec(lo, hi, grids[name].get("n", n),
-                        grids[name].get("distribution", default_spec.distribution))
+        g = _object(grids.pop(name), f"grids.{name}")
+        lo, hi = g.pop("range")
+        spec = GridSpec(lo, hi, g.pop("n", n),
+                        g.pop("distribution", default_spec.distribution))
+        _no_leftovers(g, f"grids.{name}.")
+        return spec
 
     cfg = replace(
         cfg,
@@ -559,25 +603,27 @@ def load_config(path) -> ExperimentConfig:
         integral_grid=(grid_override("integral", cfg.resolved_integral_grid())
                        if "integral" in grids else cfg.integral_grid),
     )
+    _no_leftovers(grids, "grids.")
 
-    plant_d = raw.get("plant", {})
     plant = PlantParams(
-        mass=plant_d.get("mass", 0.68),
-        drag=plant_d.get("drag", 0.25),
-        motor_tau=plant_d.get("motor_tau", 0.02),
-        hover_adjust=plant_d.get("hover_adjust", 0.0),
+        mass=plant_d.pop("mass", 0.68),
+        drag=plant_d.pop("drag", 0.25),
+        motor_tau=plant_d.pop("motor_tau", 0.02),
+        hover_adjust=plant_d.pop("hover_adjust", 0.0),
     )
-    sensor_d = raw.get("sensor", {})
-
-    return ExperimentConfig(
-        controller=exp.get("controller", "npid"),
+    run = ExperimentConfig(
+        controller=exp.pop("controller", "npid"),
         npid=cfg,
         plant=plant,
-        sensor_quantum=sensor_d.get("quantum", 0.01),
-        sensor_window=sensor_d.get("window", 1),
-        setpoint=exp.get("setpoint", 1.5),
-        duration=exp.get("duration", 20.0),
+        sensor_quantum=sensor_d.pop("quantum", 0.01),
+        sensor_window=sensor_d.pop("window", 1),
+        setpoint=exp.pop("setpoint", 1.5),
+        duration=exp.pop("duration", 20.0),
         rate=rate,
-        battery_beta=plant_d.get("battery_beta", 0.0),
-        label=exp.get("label", ""),
+        battery_beta=plant_d.pop("battery_beta", 0.0),
+        label=exp.pop("label", ""),
     )
+    _no_leftovers(plant_d, "plant.")
+    _no_leftovers(sensor_d, "sensor.")
+    _no_leftovers(exp, "experiment.")
+    return run

@@ -6,11 +6,23 @@ on the vertical axis driven by total thrust, with optional linear drag,
 a first-order motor lag and a ground plane.  The sensor floors the
 altitude to 1 cm and differentiates the quantized signal, which is what
 makes the derivative channel jumpy at high loop rates.
+
+Non-finite policy: the plant rejects a non-finite input where it enters,
+with a ValueError that names it, before it touches any state.
+plant_step rejects a command that is not finite, a dt that is not finite
+and positive, and substeps that is not an integer >= 1; sense rejects a
+state whose altitude z is not finite and a dt_ctrl that is not finite
+and positive; SensorModel rejects a quantum that is not finite and
+positive and a window that is not an integer >= 1; battery_sag rejects
+a beta that is not finite and >= 0.  A NaN therefore stops the
+loop on the tick that produced it instead of spreading into the state
+and failing later in an unrelated conversion.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -65,29 +77,42 @@ def hover_thrust(params: PlantParams) -> float:
 
 
 def plant_step(state: PlantState, command: float, dt: float,
-               params: PlantParams) -> PlantState:
-    """Advance the plant by dt seconds under the commanded thrust.
+               params: PlantParams, substeps: int = 1) -> PlantState:
+    """Advance the plant by substeps steps of dt seconds under one held
+    thrust command and return the new state.
 
-    The command clamps to the thrust limits, the actual thrust relaxes
-    toward it with the motor time constant, and the mass integrates with
-    semi-implicit Euler.  Touching the ground clamps z to 0 and kills any
-    downward velocity.
+    The command clamps to the thrust limits once; on each step the actual
+    thrust relaxes toward it with the motor time constant and the mass
+    integrates with semi-implicit Euler.  Touching the ground clamps z to
+    0 and kills any downward velocity, checked on every step.  The result
+    equals substeps chained calls with substeps=1, bit for bit: each step
+    keeps the single step's operation order and adds dt to t once.
+
+    Raises ValueError, naming the argument, for a command that is not
+    finite, a dt that is not finite and positive, or substeps that is not
+    an integer >= 1.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    if not math.isfinite(command):
+        raise ValueError(f"command must be finite, got {command!r}")
     cmd = min(max(command, params.thrust_min), params.thrust_max)
-    if params.motor_tau > 0:
-        alpha = 1.0 - math.exp(-dt / params.motor_tau)
-        thrust = state.thrust + alpha * (cmd - state.thrust)
-    else:
-        thrust = cmd
-    accel = (thrust - params.mass * params.g - params.drag * state.vz) / params.mass
-    vz = state.vz + accel * dt
-    z = state.z + vz * dt
-    if z <= 0.0:
-        z = 0.0
-        vz = max(vz, 0.0)
-    return PlantState(z=z, vz=vz, thrust=thrust, t=state.t + dt)
+    mass, drag = params.mass, params.drag
+    weight = mass * params.g
+    lag = params.motor_tau > 0
+    alpha = 1.0 - math.exp(-dt / params.motor_tau) if lag else 1.0
+    z, vz, thrust, t = state.z, state.vz, state.thrust, state.t
+    for _ in range(substeps):
+        thrust = thrust + alpha * (cmd - thrust) if lag else cmd
+        vz = vz + ((thrust - weight) - drag * vz) / mass * dt
+        z = z + vz * dt
+        if z <= 0.0:
+            z = 0.0
+            vz = max(vz, 0.0)
+        t = t + dt
+    return PlantState(z=z, vz=vz, thrust=thrust, t=t)
 
 
 @dataclass
@@ -103,10 +128,10 @@ class SensorModel:
     _history: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self):
-        if self.quantum <= 0:
-            raise ValueError("sensor quantum must be positive")
-        if self.window < 1:
-            raise ValueError("derivative window must be >= 1")
+        if not 0.0 < self.quantum < math.inf:
+            raise ValueError(f"quantum must be finite and positive, got {self.quantum!r}")
+        if not isinstance(self.window, numbers.Integral) or self.window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
 
     def reset(self) -> None:
         self._history.clear()
@@ -118,8 +143,10 @@ def sense(model: SensorModel, state: PlantState, dt_ctrl: float) -> tuple[float,
     Returns (z_hat, d_hat) where z_hat = quantum * floor(z / quantum)
     and d_hat spans the configured window of control ticks.
     """
-    if dt_ctrl <= 0:
-        raise ValueError("control period must be positive")
+    if not 0.0 < dt_ctrl < math.inf:
+        raise ValueError(f"dt_ctrl must be finite and positive, got {dt_ctrl!r}")
+    if not math.isfinite(state.z):
+        raise ValueError(f"state.z must be finite, got {state.z!r}")
     # Tiny epsilon so exact quantum multiples (1.50 / 0.01) don't floor
     # into the bin below through float division error.
     z_hat = math.floor(state.z / model.quantum + 1e-9) * model.quantum
@@ -137,6 +164,6 @@ def sense(model: SensorModel, state: PlantState, dt_ctrl: float) -> tuple[float,
 def battery_sag(t: float, beta: float = 0.0) -> float:
     """Thrust bias -beta * t modelling a linearly sagging supply; added
     to the command before clamping."""
-    if beta < 0:
-        raise ValueError("sag rate must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     return -beta * t

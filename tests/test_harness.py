@@ -1,10 +1,14 @@
 """Experiment harness: runs, metrics, verification, emission."""
 
 import json
+import math
+import re
+from dataclasses import replace
 
 import pytest
 
 from spikepid.harness import (
+    ExperimentConfig,
     bench,
     compare,
     emit,
@@ -61,6 +65,22 @@ class TestRunStepResponse:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             run_step_response(step_experiment(duration=-1.0))
+
+    @pytest.mark.parametrize("name,value", [
+        ("controller", "pid"),
+        ("duration", 0.0), ("duration", math.inf),
+        ("rate", -70.0), ("rate", math.nan),
+        ("physics_substeps", 0), ("physics_substeps", 10.0),
+        ("setpoint", math.nan), ("setpoint", math.inf),
+        ("sensor_quantum", 0.0), ("sensor_quantum", math.nan),
+        ("sensor_window", 0), ("sensor_window", 1.5),
+        ("battery_beta", -0.01), ("battery_beta", math.nan),
+    ])
+    def test_config_rejected_at_construction_by_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            replace(step_experiment(n=15), **{name: value})
 
     def test_battery_sag_pulls_altitude_down(self):
         from dataclasses import replace
@@ -225,3 +245,16 @@ class TestConfigFile:
         assert cfg.npid.target_grid.hi == 4.0
         assert cfg.rate == 70.0
         cfg.validate()
+
+    @pytest.mark.parametrize("raw,name", [
+        ({"plant": {"thrust_mx": 12.0}}, "plant.thrust_mx"),
+        ({"experiment": {"setpiont": 2.0}}, "experiment.setpiont"),
+        ({"grids": {"output": {"range": [-1, 1], "dist": "uniform"}}},
+         "grids.output.dist"),
+        ({"plnt": {"mass": 0.5}}, "plnt"),
+    ])
+    def test_unknown_key_or_section_rejected_by_name(self, tmp_path, raw, name):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=re.escape(name)):
+            load_config(p)

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikepid.plant import (
     PlantParams,
@@ -82,6 +83,91 @@ class TestPlantStep:
             plant_step(PlantState(), 1.0, 0.0, PlantParams())
 
 
+def chained(state, command, dt, params, k):
+    for _ in range(k):
+        state = plant_step(state, command, dt, params)
+    return state
+
+
+def same_state(a, b):
+    return (a.z, a.vz, a.thrust, a.t) == (b.z, b.vz, b.thrust, b.t)
+
+
+class TestSubsteps:
+    """plant_step(s, u, dt, p, k) must equal k chained single steps
+    exactly, not approximately: the closed-loop traces depend on it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 20])
+    @pytest.mark.parametrize("tau", [0.0, 0.02])
+    @pytest.mark.parametrize("state,command", [
+        (PlantState(z=1.0, vz=0.3, thrust=6.0, t=2.5), 7.1),       # free flight
+        (PlantState(z=1.0, vz=0.0, thrust=6.0, t=0.0), 1e6),       # clamped high
+        (PlantState(z=1.0, vz=0.0, thrust=6.0, t=0.0), -3.0),      # clamped low
+        (PlantState(z=0.004, vz=-0.6, thrust=0.0, t=1.0), 0.0),    # lands mid-span
+        (PlantState(), 0.68 * 9.81 + 0.4),                         # take-off
+    ])
+    def test_equals_chained_single_steps(self, k, tau, state, command):
+        p = PlantParams(mass=0.68, drag=0.25, motor_tau=tau)
+        dt = 1 / 700
+        assert same_state(plant_step(state, command, dt, p, k),
+                          chained(state, command, dt, p, k))
+
+    def test_ground_contact_mid_span_is_clamped(self):
+        p = PlantParams(mass=0.68, motor_tau=0.0)
+        s = plant_step(PlantState(z=0.004, vz=-0.6), 0.0, 1 / 700, p, 10)
+        assert s.z == 0.0 and s.vz == 0.0
+        # The contact lands inside the span, not on its first step.
+        assert plant_step(PlantState(z=0.004, vz=-0.6), 0.0, 1 / 700, p).z > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.floats(0.0, 10.0), vz=st.floats(-5.0, 5.0),
+        thrust=st.floats(0.0, 30.0), t=st.floats(0.0, 100.0),
+        command=st.floats(-50.0, 50.0),
+        mass=st.floats(0.1, 3.0), drag=st.floats(0.0, 2.0),
+        tau=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+        dt=st.floats(1e-5, 0.05), k=st.integers(1, 25),
+    )
+    def test_property_equals_chained(self, z, vz, thrust, t, command, mass,
+                                     drag, tau, dt, k):
+        p = PlantParams(mass=mass, drag=drag, motor_tau=tau)
+        s = PlantState(z=z, vz=vz, thrust=thrust, t=t)
+        assert same_state(plant_step(s, command, dt, p, k),
+                          chained(s, command, dt, p, k))
+
+
+class TestNonFinitePolicy:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="command"):
+            plant_step(PlantState(z=1.0), bad, 0.001, PlantParams(), 10)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.001, math.nan, math.inf])
+    def test_bad_dt_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="dt"):
+            plant_step(PlantState(z=1.0), 6.0, bad, PlantParams())
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, 2.5])
+    def test_bad_substeps_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="substeps"):
+            plant_step(PlantState(z=1.0), 6.0, 0.001, PlantParams(), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sense_rejects_non_finite_altitude_by_name(self, bad):
+        with pytest.raises(ValueError, match="state.z"):
+            sense(SensorModel(), PlantState(z=bad), 1 / 70)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_sense_rejects_bad_control_period_by_name(self, bad):
+        with pytest.raises(ValueError, match="dt_ctrl"):
+            sense(SensorModel(), PlantState(z=1.0), bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_battery_sag_rejects_bad_rate_by_name(self, bad):
+        with pytest.raises(ValueError, match="beta"):
+            battery_sag(1.0, bad)
+
+
 class TestSensor:
     def test_floor_quantization(self):
         model = SensorModel()
@@ -135,6 +221,10 @@ class TestSensor:
             SensorModel(quantum=0.0)
         with pytest.raises(ValueError):
             SensorModel(window=0)
+        with pytest.raises(ValueError, match="window"):
+            SensorModel(window=1.5)  # would divide by 1.5 ticks
+        with pytest.raises(ValueError, match="quantum"):
+            SensorModel(quantum=math.nan)
 
 
 class TestBatterySag:
