@@ -1,5 +1,8 @@
 """The composed spiking PID network."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -300,3 +303,38 @@ class TestTrace:
         r = tmp_path / "raster.csv"
         net.fetch_trace().write_raster_csv(r)
         assert r.read_text().splitlines()[0] == "tick,neuron_id,layer"
+
+
+# One SHA-256 over the trace and raster CSVs of every config below: 200
+# recorded ticks after 20 unrecorded warm-up ticks, so the integral bin is
+# off zero when recording starts.
+RASTER_PIN_SHA256 = (
+    "928495d87da45944a571ad8bfd3c66bb1570bb1d7935db9977874f090670bd87")
+
+
+def _raster_pin_digest(tmp_path) -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2021)
+    for n, dist, quantized, mode in itertools.product(
+            (15, 63, 151), ("uniform", "quadratic"), (False, True),
+            ("floor", "nearest")):
+        net = build_npid(default_config(n=n, distribution=dist,
+                                        quantized=quantized, mode=mode))
+        ticks = zip(rng.uniform(0.0, 4.0, 220).tolist(),
+                    rng.uniform(0.0, 4.0, 220).tolist(),
+                    rng.uniform(-0.5, 0.5, 220).tolist())
+        for k, (t, y, d) in enumerate(ticks):
+            if k == 20:
+                net.record_raster(True)
+            net.step(t, y, d)
+        tr = net.fetch_trace()
+        for write in (tr.write_csv, tr.write_raster_csv):
+            p = tmp_path / "pin.csv"
+            write(p)
+            h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+class TestRasterPin:
+    def test_trace_and_raster_csvs_match_pinned_digest(self, tmp_path):
+        assert _raster_pin_digest(tmp_path) == RASTER_PIN_SHA256
