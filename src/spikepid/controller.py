@@ -22,14 +22,16 @@ neurons, plus 3N input neurons (target, measurement, derivative).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ValueGrid, encode, make_grid
+from .grids import QUADRATIC, UNIFORM, ValueGrid, encode, make_grid
 from .netlist import Netlist, export_netlist
 from .reference import PidGains
-from .units import InputSpec, build_adder
+from .units import LAYER_INPUT, MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
 
 __all__ = [
     "GridSpec",
@@ -42,6 +44,14 @@ __all__ = [
 ]
 
 
+def write_csv_rows(path, header, rows) -> None:
+    """Write a CSV: repr for floats, so they read back exactly, str for the rest."""
+    with open(path, "w") as f:
+        for row in (header, *rows):
+            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     lo: float
@@ -51,6 +61,25 @@ class GridSpec:
 
     def build(self) -> ValueGrid:
         return make_grid(self.lo, self.hi, self.n, self.distribution)
+
+    def validate(self, name: str) -> None:
+        """Raise ValueError, naming the field as name.attribute, for a
+        grid that make_grid cannot build."""
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"{name}.n must be an integer >= 2, got {self.n!r}")
+        for end in ("lo", "hi"):
+            if not math.isfinite(getattr(self, end)):
+                raise ValueError(
+                    f"{name}.{end} must be finite, got {getattr(self, end)!r}")
+        if not self.lo < self.hi:
+            raise ValueError(
+                f"{name}.lo must be < {name}.hi, got [{self.lo!r}, {self.hi!r}]")
+        if self.distribution not in (UNIFORM, QUADRATIC):
+            raise ValueError(f"{name}.distribution must be {UNIFORM!r} or "
+                             f"{QUADRATIC!r}, got {self.distribution!r}")
+        if self.distribution == QUADRATIC and self.lo != -self.hi:
+            raise ValueError(f"{name}.lo must equal -{name}.hi for a quadratic "
+                             f"grid, got [{self.lo!r}, {self.hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -86,16 +115,19 @@ class NpidConfig:
     output_grid: GridSpec = GridSpec(-1.25, 1.25, 151)
 
     def validate(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        """Raise ValueError, naming the field, for a value no build can use."""
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if not 0 < self.decay <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-        if self.mode not in ("floor", "nearest"):
-            raise ValueError(f"unknown rounding mode {self.mode!r}")
-        for name in ("target_grid", "error_grid", "derivative_grid", "output_grid"):
+            raise ValueError(f"decay must lie in (0, 1], got {self.decay!r}")
+        if self.mode not in (MODE_FLOOR, MODE_NEAREST):
+            raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
+                             f"got {self.mode!r}")
+        for name in ("target_grid", "error_grid", "integral_grid",
+                     "derivative_grid", "output_grid"):
             spec = getattr(self, name)
-            if spec.n < 2 or spec.lo >= spec.hi:
-                raise ValueError(f"invalid {name}: {spec}")
+            if spec is not None:  # a None integral grid is sized on build
+                spec.validate(name)
 
     def resolved_integral_grid(self) -> GridSpec:
         """Integral grid, sized by default so a full-scale integral alone
@@ -107,14 +139,24 @@ class NpidConfig:
                         self.output_grid.distribution)
 
     def build_grids(self) -> NpidGrids:
+        """Validate, then build the five grids.  The error, integral and
+        output grids must hold the exact value 0: every adder unit splits
+        its aggregate layer there."""
         self.validate()
-        return NpidGrids(
+        grids = NpidGrids(
             target_measurement=self.target_grid.build(),
             error=self.error_grid.build(),
             integral=self.resolved_integral_grid().build(),
             derivative=self.derivative_grid.build(),
             output=self.output_grid.build(),
         )
+        for name, grid in (("error_grid", grids.error),
+                           ("output_grid", grids.output),
+                           ("integral_grid", grids.integral)):
+            if grid.zero_index is None:
+                raise ValueError(f"{name} must contain the value 0, got "
+                                 f"[{grid.lo!r}, {grid.hi!r}] with n={grid.n}")
+        return grids
 
 
 def default_config(n: int = 151, distribution: str = "uniform",
@@ -145,35 +187,69 @@ def default_config(n: int = 151, distribution: str = "uniform",
 
 @dataclass
 class SpikeTrace:
-    """Per-tick bin record, optionally with the full spike raster."""
+    """Per-tick bins of one recording.  With a network (record_raster's
+    raster flag) it derives its spike raster from them; else it reads []."""
 
     dt: float
+    target_bin: list[int] = field(default_factory=list)
+    measurement_bin: list[int] = field(default_factory=list)
     error_bin: list[int] = field(default_factory=list)
     integral_bin: list[int] = field(default_factory=list)
     deriv_bin: list[int] = field(default_factory=list)
     output_bin: list[int] = field(default_factory=list)
     output_newton: list[float] = field(default_factory=list)
-    raster: list[tuple[int, str, str]] = field(default_factory=list)  # (tick, id, layer)
+    integral_start: int | None = None  # the delay-1 integral input at tick 0
+    network: NpidNetwork | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.output_bin)
 
+    @property
+    def raster(self) -> list[tuple[int, str, str]]:
+        """(tick, neuron id, layer) of every spike, in netlist neuron order
+        within a tick.  Each read re-runs every unit's eval_bins once over all
+        ticks and raises AssertionError where a winner is not the recorded bin."""
+        net = self.network
+        if net is None or not self.output_bin:
+            return []
+        # Rows ordered so that each unit's inputs, and the input spikes, are slices.
+        bins = np.array(([self.integral_start] + self.integral_bin[:-1],
+                         self.error_bin, self.integral_bin, self.deriv_bin,
+                         self.target_bin, self.measurement_bin, self.output_bin))
+        tm, dg = net.grids.target_measurement, net.grids.derivative
+        fired = [np.zeros((len(self), 2 * tm.n + dg.n), dtype=bool)]
+        fired[0][np.arange(len(self))[:, None],
+                 bins[3:6].T + (2 * tm.n, 0, tm.n)] = True  # the input spikes
+        winners = []
+        for unit, rows in zip(net.units, (slice(4, 6), slice(0, 2), slice(1, 4))):
+            w, *masks = unit.eval_bins(bins[rows].T)  # pos, neg, reduce masks
+            winners.append(w)
+            fired += masks
+        recorded = bins[[1, 2, 6]]  # error, integral, output
+        wrong = np.array(winners) != recorded
+        if wrong.any():
+            k, u = np.argwhere(wrong.T)[0]  # the first tick, then its first unit
+            raise AssertionError(
+                f"raster of unit {net.units[u].name!r} at tick {k}: winner "
+                f"{winners[u][k]} is not the recorded bin {recorded[u, k]}")
+        if net._raster_ids is None:  # built on the first read, once per network
+            neurons = [(f"{name}[{i}]", LAYER_INPUT)
+                       for name, grid in net._inputs.items() for i in range(grid.n)]
+            neurons += [(n.id, n.layer) for u in net.units for n in u.neuron_specs()]
+            net._raster_ids = tuple(np.array(c, dtype=object) for c in zip(*neurons))
+        ids, layers = net._raster_ids
+        ticks, cols = np.concatenate(fired, axis=1).nonzero()
+        return list(zip(ticks.tolist(), ids[cols].tolist(), layers[cols].tolist()))
+
     def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("tick,t_seconds,error_bin,integral_bin,deriv_bin,"
-                    "output_bin,output_newton\n")
-            for k in range(len(self)):
-                f.write(
-                    f"{k},{k * self.dt!r},{self.error_bin[k]},"
-                    f"{self.integral_bin[k]},{self.deriv_bin[k]},"
-                    f"{self.output_bin[k]},{self.output_newton[k]!r}\n"
-                )
+        write_csv_rows(path, ("tick", "t_seconds", "error_bin", "integral_bin",
+                              "deriv_bin", "output_bin", "output_newton"),
+                       zip(range(len(self)), [k * self.dt for k in range(len(self))],
+                           self.error_bin, self.integral_bin, self.deriv_bin,
+                           self.output_bin, self.output_newton))
 
     def write_raster_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("tick,neuron_id,layer\n")
-            for tick, nid, layer in self.raster:
-                f.write(f"{tick},{nid},{layer}\n")
+        write_csv_rows(path, ("tick", "neuron_id", "layer"), self.raster)
 
 
 class NpidNetwork:
@@ -182,19 +258,11 @@ class NpidNetwork:
     trace; everything else is fixed at build time."""
 
     def __init__(self, config: NpidConfig):
-        config.validate()
         self.config = config
         self.grids = config.build_grids()
         g, dt, lam = config.gains, config.dt, config.decay
         mode, quant = config.mode, config.quantized
         tm = self.grids.target_measurement
-
-        if self.grids.error.zero_index is None:
-            raise ValueError("error grid must contain 0")
-        if self.grids.integral.zero_index is None:
-            raise ValueError("integral grid must contain 0")
-        if self.grids.output.zero_index is None:
-            raise ValueError("output grid must contain 0")
 
         self.error_unit = build_adder(
             [InputSpec(tm, +1, 1.0), InputSpec(tm, -1, 1.0)],
@@ -213,16 +281,15 @@ class NpidNetwork:
         )
         self.units = (self.error_unit, self.integral_unit, self.control_unit)
 
+        # The input populations, in netlist and raster order.
+        self._inputs = {"target": tm, "measurement": tm,
+                        "derivative": self.grids.derivative}
         self.integral_bin = self.grids.integral.zero_index
-        self._tick = 0
         self._trace: SpikeTrace | None = None  # what step appends to
         self._recorded: SpikeTrace | None = None  # what fetch_trace returns
-        self._raster_on = False
-        # Per unit, (id, layer) of each neuron in eval_bins' pos, neg,
-        # reduce order; built on the first raster tick.  Declared here:
-        # an attribute added after __init__ slows every later step's
-        # attribute loads.
-        self._raster_neurons: list[list[tuple[str, str]]] | None = None
+        # Id and layer of each raster column, built on the first raster
+        # read.  Declared here: an attribute added later slows every step.
+        self._raster_ids: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- control loop --------------------------------------------------------
 
@@ -234,53 +301,27 @@ class NpidNetwork:
         t_bin = encode(tm, target)
         m_bin = encode(tm, measurement)
         d_bin = encode(grids.derivative, derivative)
-        if self._raster_on:
-            e_bin, i_bin, u_bin = self._step_with_raster(t_bin, m_bin, d_bin)
-        else:
-            e_bin = self.error_unit.winner_bin(t_bin, m_bin)
-            i_bin = self.integral_unit.winner_bin(self.integral_bin, e_bin)
-            u_bin = self.control_unit.winner_bin(e_bin, i_bin, d_bin)
+        e_bin = self.error_unit.winner_bin(t_bin, m_bin)
+        i_bin = self.integral_unit.winner_bin(self.integral_bin, e_bin)
+        u_bin = self.control_unit.winner_bin(e_bin, i_bin, d_bin)
         self.integral_bin = i_bin
         u = grids.output.values[u_bin]
         if self._trace is not None:
             tr = self._trace
+            tr.target_bin.append(t_bin)
+            tr.measurement_bin.append(m_bin)
             tr.error_bin.append(e_bin)
             tr.integral_bin.append(i_bin)
             tr.deriv_bin.append(d_bin)
             tr.output_bin.append(u_bin)
             tr.output_newton.append(u)
-        self._tick += 1
         return u
-
-    def _step_with_raster(self, t_bin: int, m_bin: int, d_bin: int):
-        tick = self._tick
-        rows = self._trace.raster if self._trace is not None else []
-        rows.append((tick, f"target[{t_bin}]", "input"))
-        rows.append((tick, f"measurement[{m_bin}]", "input"))
-        rows.append((tick, f"derivative[{d_bin}]", "input"))
-        if self._raster_neurons is None:
-            self._raster_neurons = [[(n.id, n.layer) for n in unit.neuron_specs()]
-                                    for unit in self.units]
-        err_ids, int_ids, ctl_ids = self._raster_neurons
-
-        def run(unit, neurons, bins):
-            winners, pos, neg, red = unit.eval_bins([bins])
-            fired = np.flatnonzero(np.concatenate([pos[0], neg[0], red[0]]))
-            rows.extend((tick, *neurons[k]) for k in fired.tolist())
-            return int(winners[0])
-
-        e_bin = run(self.error_unit, err_ids, (t_bin, m_bin))
-        i_bin = run(self.integral_unit, int_ids, (self.integral_bin, e_bin))
-        u_bin = run(self.control_unit, ctl_ids, (e_bin, i_bin, d_bin))
-        return e_bin, i_bin, u_bin
 
     def reset(self) -> None:
         """Zero the integral state and delay buffers and drop the trace,
         as in a fresh build; idempotent."""
         self.integral_bin = self.grids.integral.zero_index
-        self._tick = 0
         self._trace = self._recorded = None
-        self._raster_on = False
 
     # -- accounting and introspection ----------------------------------------
 
@@ -293,15 +334,14 @@ class NpidNetwork:
 
     def record_raster(self, on: bool, raster: bool = True) -> None:
         """Start a new trace or stop recording.  While on, every tick
-        appends its bins (and, when raster is set, all firing neuron
-        ids); a stopped trace stays fetchable until the next reset."""
+        appends its bins, from which a raster trace derives its spikes; a
+        stopped trace stays fetchable until the next reset."""
         if on:
-            self._trace = self._recorded = SpikeTrace(dt=self.config.dt)
-            self._raster_on = raster
-            self._tick = 0
+            self._trace = self._recorded = SpikeTrace(
+                dt=self.config.dt, integral_start=self.integral_bin,
+                network=self if raster else None)
         else:
             self._trace = None
-            self._raster_on = False
 
     def fetch_trace(self) -> SpikeTrace:
         if self._recorded is None:
@@ -311,18 +351,13 @@ class NpidNetwork:
     def export_netlist(self) -> Netlist:
         """Serialize the controller as a flat neuron/synapse graph; the
         recurrent integral edge is the only delay-1 wiring."""
-        inputs = {
-            "target": self.grids.target_measurement,
-            "measurement": self.grids.target_measurement,
-            "derivative": self.grids.derivative,
-        }
         wiring = [
             [("input", "target", 0), ("input", "measurement", 0)],
             [("unit", "integral", 1), ("unit", "error", 0)],
             [("unit", "error", 0), ("unit", "integral", 0),
              ("input", "derivative", 0)],
         ]
-        return export_netlist(self.units, inputs, wiring)
+        return export_netlist(self.units, self._inputs, wiring)
 
 
 def build_npid(config: NpidConfig) -> NpidNetwork:

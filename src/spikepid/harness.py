@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import GridSpec, NpidConfig, NpidNetwork, build_npid, default_config
+from .controller import (GridSpec, NpidConfig, NpidNetwork, build_npid,
+                         default_config, write_csv_rows)
 from .grids import ValueGrid, encode, make_grid
 from .plant import (
     PlantParams,
@@ -154,15 +155,9 @@ class TraceRecord:
     def __len__(self) -> int:
         return len(self.t)
 
-    def row(self, k: int) -> tuple:
-        return tuple(getattr(self, c)[k] for c in self.columns)
-
     def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(",".join(self.columns) + "\n")
-            for k in range(len(self)):
-                f.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in self.row(k)) + "\n")
+        write_csv_rows(path, self.columns,
+                       zip(*(getattr(self, c) for c in self.columns)))
 
 
 @dataclass(frozen=True)
@@ -464,13 +459,8 @@ def sweep(setpoints, neuron_counts, distribution_for=None, **kwargs) -> list[dic
 
 
 def write_summary_csv(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for r in rows:
-            f.write(",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in (r[c] for c in SUMMARY_COLUMNS)
-            ) + "\n")
+    write_csv_rows(path, SUMMARY_COLUMNS,
+                   ([r[c] for c in SUMMARY_COLUMNS] for r in rows))
 
 
 # -- artifact emission ----------------------------------------------------------

@@ -23,10 +23,10 @@ and an implicit factor 2); thresholds quantize to plain integers.
 
 AdderUnit.eval_bins is the one literal propagation: it evaluates a batch
 of input-bin rows through both layers and returns every firing mask.
-eval_unit, eval_all_pairs, the controller's raster mode and the
-exhaustive verification all call it.  AdderUnit.winner_bin is the fast
-path the controller ticks on; it skips the layers through the prefix
-property and is bit-identical to eval_bins.
+eval_unit, eval_all_pairs, SpikeTrace.raster (re-deriving recorded
+spikes from their bins) and the exhaustive verification all call it.
+AdderUnit.winner_bin is the one path the controller ticks on; it skips
+the layers through the prefix property and is bit-identical to eval_bins.
 """
 
 from __future__ import annotations

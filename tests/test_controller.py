@@ -2,12 +2,17 @@
 
 import hashlib
 import itertools
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikepid.controller import NpidConfig, build_npid, default_config
+from spikepid.controller import GridSpec, NpidConfig, build_npid, default_config
+from spikepid.harness import step_experiment
 from spikepid.reference import PidOracle
+from spikepid.units import AdderUnit
 
 
 class TestBuild:
@@ -54,6 +59,65 @@ class TestBuild:
             build_npid(default_config(n=1))
         with pytest.raises(ValueError):
             NpidConfig(mode="round").validate()
+
+
+# A valid spec per grid field; the default config sizes the integral grid
+# itself, so it gets an explicit one here.
+GRID_FIELDS = {
+    "target_grid": GridSpec(0.0, 4.0, 15),
+    "error_grid": GridSpec(-4.0, 4.0, 15),
+    "integral_grid": GridSpec(-1.0, 1.0, 15, "quadratic"),
+    "derivative_grid": GridSpec(-0.5, 0.5, 15),
+    "output_grid": GridSpec(-1.25, 1.25, 15),
+}
+BAD_GRID_VALUES = [("n", 15.5), ("n", 1), ("n", "15"), ("lo", math.nan),
+                   ("hi", math.inf), ("lo", 5.0), ("distribution", "cubic")]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("dt", math.nan), ("dt", 0.0), ("dt", -1.0), ("dt", math.inf),
+        ("decay", 0.0), ("decay", 1.5), ("decay", math.nan),
+        ("mode", "round"),
+    ])
+    def test_bad_scalar_rejected_by_name(self, name, value):
+        cfg = replace(default_config(n=15), **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} "):
+            build_npid(cfg)
+
+    @pytest.mark.parametrize("grid", GRID_FIELDS)
+    @pytest.mark.parametrize("attr,value", BAD_GRID_VALUES)
+    def test_bad_grid_rejected_by_field(self, grid, attr, value):
+        spec = replace(GRID_FIELDS[grid], **{attr: value})
+        cfg = replace(default_config(n=15), **{grid: spec})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{grid}.{attr}')} "):
+            cfg.validate()
+        with pytest.raises(ValueError, match=re.escape(f"{grid}.{attr}")):
+            build_npid(cfg)
+
+    def test_asymmetric_quadratic_grid_rejected_by_field(self):
+        cfg = replace(default_config(n=15),
+                      error_grid=GridSpec(-2.0, 4.0, 15, "quadratic"))
+        with pytest.raises(ValueError, match=r"^error_grid\.lo "):
+            build_npid(cfg)
+
+    @pytest.mark.parametrize("grid,spec", [
+        ("error_grid", GridSpec(-4.0, 4.0, 16)),
+        ("integral_grid", GridSpec(0.5, 1.0, 15)),
+        ("output_grid", GridSpec(-1.25, 1.25, 16)),
+    ])
+    def test_grid_without_zero_rejected_by_field(self, grid, spec):
+        cfg = replace(default_config(n=15), **{grid: spec})
+        with pytest.raises(ValueError, match=f"^{grid} must contain the value 0"):
+            build_npid(cfg)
+
+    @pytest.mark.parametrize("n", [15, 63, 151])
+    @pytest.mark.parametrize("distribution", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_closed_loop_configs_accepted(self, n, distribution, quantized):
+        cfg = step_experiment(n=n, distribution=distribution,
+                              quantized=quantized)
+        cfg.npid.build_grids()
 
 
 class TestStep:
@@ -257,7 +321,7 @@ class TestTrace:
         net.record_raster(True)
         rng = np.random.default_rng(5)
         ticks = 30
-        for _ in range(ticks):
+        for _ in range(30):
             net.step(*rng.uniform(0.0, 4.0, 2), rng.uniform(-0.5, 0.5))
         tr = net.fetch_trace()
         bins = {"error": tr.error_bin, "integral": tr.integral_bin,
@@ -338,3 +402,67 @@ def _raster_pin_digest(tmp_path) -> str:
 class TestRasterPin:
     def test_trace_and_raster_csvs_match_pinned_digest(self, tmp_path):
         assert _raster_pin_digest(tmp_path) == RASTER_PIN_SHA256
+
+
+class TestRasterDerivation:
+    def _recorded(self):
+        net = build_npid(default_config(n=15))
+        rng = np.random.default_rng(11)
+        for _ in range(5):  # move the integral off zero before recording
+            net.step(3.5, 0.5, 0.0)
+        net.record_raster(True)
+        for _ in range(30):
+            net.step(*rng.uniform(0.0, 4.0, 2), rng.uniform(-0.5, 0.5))
+        return net, net.fetch_trace()
+
+    @pytest.mark.parametrize("column,unit", [
+        ("error_bin", "error"), ("integral_bin", "integral"),
+        ("output_bin", "control"),
+    ])
+    def test_edited_bin_raises_naming_unit_and_tick(self, column, unit):
+        _, tr = self._recorded()
+        bins = getattr(tr, column)
+        bins[7] = bins[7] + 1 if bins[7] == 0 else bins[7] - 1
+        with pytest.raises(AssertionError, match=f"'{unit}' at tick 7:"):
+            tr.raster
+
+    def test_edited_input_bin_raises_in_the_unit_it_feeds(self):
+        _, tr = self._recorded()
+        tr.target_bin[3] = 0 if tr.target_bin[3] > 7 else 14
+        with pytest.raises(AssertionError, match="'error' at tick 3:"):
+            tr.raster
+
+    def test_held_trace_reads_same_rows_after_stop_and_reset(self):
+        net, tr = self._recorded()
+        rows = tr.raster
+        assert len({t for t, _, _ in rows}) == len(tr) == 30
+        net.record_raster(False)
+        net.step(1.0, 3.0, 0.2)
+        assert tr.raster == rows
+        net.reset()
+        net.record_raster(True)
+        net.step(1.0, 3.0, 0.2)
+        assert tr.raster == rows
+
+    def test_every_read_reruns_each_unit_once(self, monkeypatch):
+        _, tr = self._recorded()
+        calls = []
+        eval_bins = AdderUnit.eval_bins
+
+        def counted(unit, bins):
+            calls.append((unit.name, len(bins)))
+            return eval_bins(unit, bins)
+
+        monkeypatch.setattr(AdderUnit, "eval_bins", counted)
+        first = tr.raster
+        assert tr.raster == first
+        assert calls == [("error", 30), ("integral", 30), ("control", 30)] * 2
+
+    def test_empty_raster_trace_reads_empty(self, tmp_path):
+        net = build_npid(default_config(n=15))
+        net.record_raster(True)
+        tr = net.fetch_trace()
+        assert tr.raster == []
+        p = tmp_path / "raster.csv"
+        tr.write_raster_csv(p)
+        assert p.read_text() == "tick,neuron_id,layer\n"
