@@ -1,5 +1,7 @@
 """Netlist export, serialization and graph re-evaluation."""
 
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -151,6 +153,27 @@ class TestSerialization:
         edit(d)
         with pytest.raises(ValueError, match=field):
             Netlist.from_dict(d)
+
+
+NETLIST_PIN_SHA256 = (
+    "a5516af2379c5faa61c21ece0419f7e720bc38282b5917e0ce471826ec3d9965")
+
+
+class TestFilePin:
+    def test_saved_bytes_match_pinned_digest_and_reload(self, tmp_path):
+        """One SHA-256 over the files of 8 configs, in a fixed order; each
+        file also survives load and save byte for byte."""
+        h = hashlib.sha256()
+        path = tmp_path / "net.json"
+        for n, dist, quantized in itertools.product(
+                (151, 15), ("uniform", "quadratic"), (False, True)):
+            build_npid(default_config(n=n, distribution=dist, quantized=quantized)
+                       ).export_netlist().save(path)
+            data = path.read_bytes()
+            h.update(data)
+            Netlist.load(path).save(path)
+            assert path.read_bytes() == data, (n, dist, quantized)
+        assert h.hexdigest() == NETLIST_PIN_SHA256
 
 
 class TestRuntime:
