@@ -48,8 +48,6 @@ from .reference import (
 from .units import (
     AdderUnit,
     InputSpec,
-    NeuronSpec,
-    SynapseSpec,
     build_adder,
     choose_scale,
     eval_unit,
@@ -68,7 +66,6 @@ __all__ = [
     "InputSpec",
     "Netlist",
     "NetlistRuntime",
-    "NeuronSpec",
     "NpidConfig",
     "NpidGrids",
     "NpidNetwork",
@@ -81,7 +78,6 @@ __all__ = [
     "RunMetrics",
     "SensorModel",
     "SpikeTrace",
-    "SynapseSpec",
     "TraceRecord",
     "ValueGrid",
     "battery_sag",

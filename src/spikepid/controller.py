@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import QUADRATIC, UNIFORM, ValueGrid, encode, make_grid
-from .netlist import Netlist, export_netlist
+from .netlist import Netlist, export_netlist, neuron_columns
 from .reference import PidGains
-from .units import LAYER_INPUT, MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
+from .units import MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
 
 __all__ = [
     "GridSpec",
@@ -114,8 +114,12 @@ class NpidConfig:
     derivative_grid: GridSpec = GridSpec(-0.5, 0.5, 151)
     output_grid: GridSpec = GridSpec(-1.25, 1.25, 151)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        """Raise ValueError, naming the field, for a value no build can use."""
+        """Raise ValueError, naming the field, for a value no build can use.
+        Construction runs it, so every config in hand has passed it."""
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if not 0 < self.decay <= 1:
@@ -123,6 +127,8 @@ class NpidConfig:
         if self.mode not in (MODE_FLOOR, MODE_NEAREST):
             raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
                              f"got {self.mode!r}")
+        if not isinstance(self.quantized, bool):
+            raise ValueError(f"quantized must be a bool, got {self.quantized!r}")
         for name in ("target_grid", "error_grid", "integral_grid",
                      "derivative_grid", "output_grid"):
             spec = getattr(self, name)
@@ -139,10 +145,9 @@ class NpidConfig:
                         self.output_grid.distribution)
 
     def build_grids(self) -> NpidGrids:
-        """Validate, then build the five grids.  The error, integral and
-        output grids must hold the exact value 0: every adder unit splits
-        its aggregate layer there."""
-        self.validate()
+        """Build the five grids.  The error, integral and output grids must
+        hold the exact value 0: every adder unit splits its aggregate layer
+        there."""
         grids = NpidGrids(
             target_measurement=self.target_grid.build(),
             error=self.error_grid.build(),
@@ -233,10 +238,9 @@ class SpikeTrace:
                 f"raster of unit {net.units[u].name!r} at tick {k}: winner "
                 f"{winners[u][k]} is not the recorded bin {recorded[u, k]}")
         if net._raster_ids is None:  # built on the first read, once per network
-            neurons = [(f"{name}[{i}]", LAYER_INPUT)
-                       for name, grid in net._inputs.items() for i in range(grid.n)]
-            neurons += [(n.id, n.layer) for u in net.units for n in u.neuron_specs()]
-            net._raster_ids = tuple(np.array(c, dtype=object) for c in zip(*neurons))
+            neurons = neuron_columns(net.units, net._inputs)
+            net._raster_ids = (np.array(neurons.id, dtype=object),
+                               np.array(neurons.layer, dtype=object))
         ids, layers = net._raster_ids
         ticks, cols = np.concatenate(fired, axis=1).nonzero()
         return list(zip(ticks.tolist(), ids[cols].tolist(), layers[cols].tolist()))

@@ -113,7 +113,6 @@ class ExperimentConfig:
             battery_sag(0.0, self.battery_beta)
         except ValueError as e:
             raise ValueError(f"battery_{e}") from None
-        self.npid.validate()
 
 
 def step_experiment(setpoint: float = 1.5, n: int = 151,

@@ -40,8 +40,6 @@ import numpy as np
 from .grids import ValueGrid
 
 __all__ = [
-    "NeuronSpec",
-    "SynapseSpec",
     "InputSpec",
     "AdderUnit",
     "build_adder",
@@ -72,21 +70,6 @@ LAYER_REDUCE = "reduce"
 REDUCE_EXC = 2
 REDUCE_INH = -2
 REDUCE_THRESHOLD = 1
-
-
-@dataclass(frozen=True)
-class NeuronSpec:
-    id: str
-    layer: str
-    threshold: float  # integer-valued in quantized mode
-
-
-@dataclass(frozen=True)
-class SynapseSpec:
-    src: str
-    dst: str
-    weight: float  # even integer in quantized mode
-    delay: int = 0
 
 
 @dataclass(frozen=True)
@@ -277,41 +260,42 @@ class AdderUnit:
 
     # -- netlist pieces ----------------------------------------------------
 
-    def neuron_specs(self) -> list[NeuronSpec]:
-        out = []
-        for k, t in enumerate(self.thr_pos):
-            out.append(NeuronSpec(f"{self.name}.agg_pos[{k}]", LAYER_AGG_POS, t))
-        for k, t in enumerate(self.thr_neg):
-            out.append(NeuronSpec(f"{self.name}.agg_neg[{k}]", LAYER_AGG_NEG, t))
-        for r in range(self.n_out):
-            out.append(
-                NeuronSpec(f"{self.name}.reduce[{r}]", LAYER_REDUCE, REDUCE_THRESHOLD)
-            )
-        return out
+    def neuron_columns(self) -> tuple[list, list, list]:
+        """(id, layer, threshold) of this unit's neurons in file order:
+        aggregate-pos, aggregate-neg, then reduce."""
+        ids = ([f"{self.name}.agg_pos[{k}]" for k in range(self.pos_count)]
+               + [f"{self.name}.agg_neg[{k}]" for k in range(self.neg_count)]
+               + [f"{self.name}.reduce[{r}]" for r in range(self.n_out)])
+        layers = ([LAYER_AGG_POS] * self.pos_count + [LAYER_AGG_NEG] * self.neg_count
+                  + [LAYER_REDUCE] * self.n_out)
+        return ids, layers, [*self.thr_pos, *self.thr_neg] + [REDUCE_THRESHOLD] * self.n_out
 
-    def synapse_specs(self, input_ids, input_delays=None) -> list[SynapseSpec]:
-        """Synapses of this unit.  input_ids[p] is a callable mapping a
-        bin index of input population p to its source neuron id;
-        input_delays[p] is the tick delay of that population's edges."""
-        delays = input_delays or [0] * len(self.inputs)
-        ids = [n.id for n in self.neuron_specs()]
-        pc, agg = self.pos_count, self.pos_count + self.neg_count
-        pos_ids, neg_ids, agg_ids = ids[:pc], ids[pc:agg], ids[:agg]
-        out = []
-        for p, spec in enumerate(self.inputs):
-            d = delays[p]
-            for i in range(spec.grid.n):
-                w, src = self.weights[p][i], input_ids[p](i)
-                out += [SynapseSpec(src, dst, w, d) for dst in pos_ids]
-                out += [SynapseSpec(src, dst, -w, d) for dst in neg_ids]
-        for r, dst in enumerate(ids[agg:]):
-            for exc in (self._exc1[r], self._exc2[r]):
-                if exc >= 0:
-                    out.append(SynapseSpec(agg_ids[exc], dst, REDUCE_EXC))
-            for inh in (self._inh1[r], self._inh2[r]):
-                if inh >= 0:
-                    out.append(SynapseSpec(agg_ids[inh], dst, REDUCE_INH))
-        return out
+    def synapse_columns(self, first, sources, delays) -> tuple[list, list, list, list]:
+        """(src, dst, weight, delay) of this unit's synapses in file order,
+        as neuron indices.  first is the index of this unit's first neuron;
+        sources[p][i] is the neuron index of bin i of input population p,
+        and delays[p] the tick delay of that population's edges.  Each
+        input neuron drives every aggregate neuron (pos, then neg); each
+        reduce neuron then gets its excitatory, then inhibitory, sources."""
+        agg = self.pos_count + self.neg_count
+        targets = np.arange(first, first + agg)
+        sign = np.repeat([1, -1], [self.pos_count, self.neg_count])  # exact negation
+        src, dst, weight, delay = [], [], [], []
+        for w, s, d in zip(self._weight_arrs, sources, delays):
+            src += np.repeat(s, agg).tolist()
+            dst += np.tile(targets, len(s)).tolist()
+            weight += np.outer(w, sign).ravel().tolist()
+            delay += [d] * (len(s) * agg)
+        # One row per reduce neuron: exc1, exc2, inh1, inh2 (-1: no synapse).
+        wiring = np.stack([self._exc1, self._exc2, self._inh1, self._inh2], axis=1)
+        wired = wiring >= 0
+        src += (first + wiring[wired]).tolist()
+        dst += np.repeat(np.arange(first + agg, first + agg + self.n_out),
+                         wired.sum(axis=1)).tolist()
+        weight += np.broadcast_to([REDUCE_EXC, REDUCE_EXC, REDUCE_INH, REDUCE_INH],
+                                  wiring.shape)[wired].tolist()
+        delay += [0] * int(wired.sum())
+        return src, dst, weight, delay
 
 
 def _aggregate_thresholds(output: ValueGrid, mode: str):

@@ -81,25 +81,29 @@ class TestConfigValidation:
         ("mode", "round"),
     ])
     def test_bad_scalar_rejected_by_name(self, name, value):
-        cfg = replace(default_config(n=15), **{name: value})
         with pytest.raises(ValueError, match=f"^{name} "):
-            build_npid(cfg)
+            build_npid(replace(default_config(n=15), **{name: value}))
+
+    @pytest.mark.parametrize("name,value", [
+        ("dt", 0), ("decay", 0), ("mode", "round"), ("quantized", "yes"),
+    ])
+    def test_bare_config_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            NpidConfig(**{name: value})
 
     @pytest.mark.parametrize("grid", GRID_FIELDS)
     @pytest.mark.parametrize("attr,value", BAD_GRID_VALUES)
     def test_bad_grid_rejected_by_field(self, grid, attr, value):
         spec = replace(GRID_FIELDS[grid], **{attr: value})
-        cfg = replace(default_config(n=15), **{grid: spec})
         with pytest.raises(ValueError, match=f"^{re.escape(f'{grid}.{attr}')} "):
-            cfg.validate()
+            replace(default_config(n=15), **{grid: spec})
         with pytest.raises(ValueError, match=re.escape(f"{grid}.{attr}")):
-            build_npid(cfg)
+            build_npid(replace(default_config(n=15), **{grid: spec}))
 
     def test_asymmetric_quadratic_grid_rejected_by_field(self):
-        cfg = replace(default_config(n=15),
-                      error_grid=GridSpec(-2.0, 4.0, 15, "quadratic"))
         with pytest.raises(ValueError, match=r"^error_grid\.lo "):
-            build_npid(cfg)
+            build_npid(replace(default_config(n=15),
+                               error_grid=GridSpec(-2.0, 4.0, 15, "quadratic")))
 
     @pytest.mark.parametrize("grid,spec", [
         ("error_grid", GridSpec(-4.0, 4.0, 16)),

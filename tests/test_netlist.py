@@ -9,10 +9,9 @@ import pytest
 
 from spikepid.controller import build_npid, default_config
 from spikepid.grids import encode, make_grid
-from spikepid.netlist import Netlist, NetlistRuntime, export_netlist
+from spikepid.netlist import Netlist, NetlistRuntime, Neurons, Synapses, export_netlist
 from spikepid.reference import round_to_grid
-from spikepid.units import (LAYER_INPUT, NeuronSpec, SynapseSpec, build_adder,
-                            eval_unit, one_hot)
+from spikepid.units import LAYER_INPUT, build_adder, eval_unit, one_hot
 
 
 def fig2_setup(quantized=False):
@@ -41,7 +40,7 @@ class TestExport:
 
     def test_empty_unit_list(self):
         nl = export_netlist([], {}, wiring=[])
-        assert nl.neurons == [] and nl.synapses == []
+        assert list(nl.neurons) == [] and list(nl.synapses) == []
 
     def test_npid_counts(self):
         net = build_npid(default_config(n=15, distribution="quadratic"))
@@ -54,19 +53,22 @@ class TestExport:
     def test_recurrent_edge_is_the_only_delay(self):
         net = build_npid(default_config(n=15))
         nl = net.export_netlist()
-        delayed = {(s.src.split(".")[0], s.dst.split(".")[0])
+        ids = nl.neurons.id
+        delayed = {(ids[s.src].split(".")[0], ids[s.dst].split(".")[0])
                    for s in nl.synapses if s.delay == 1}
         assert delayed == {("integral", "integral")}
 
     def test_dangling_endpoint_rejected(self):
         _, nl = fig2_setup()
-        nl.synapses.append(SynapseSpec("ghost[0]", nl.neurons[0].id, 2, 0))
+        for col, value in zip(vars(nl.synapses).values(), (len(nl.neurons), 0, 2, 0)):
+            col.append(value)  # a source one past the last neuron
         with pytest.raises(ValueError):
             nl.validate()
 
     def test_duplicate_ids_rejected(self):
         _, nl = fig2_setup()
-        nl.neurons.append(nl.neurons[0])
+        for col in vars(nl.neurons).values():
+            col.append(col[0])
         with pytest.raises(ValueError):
             nl.validate()
 
@@ -281,10 +283,9 @@ class TestGraphRuntime:
             if n.layer != LAYER_INPUT:
                 rename[n.id] = f"x{len(rename)}"
         opaque = Netlist(
-            neurons=[NeuronSpec(rename.get(n.id, n.id), n.layer, n.threshold)
-                     for n in nl.neurons],
-            synapses=[SynapseSpec(rename.get(s.src, s.src), rename.get(s.dst, s.dst),
-                                  s.weight, s.delay) for s in nl.synapses],
+            neurons=Neurons([rename.get(i, i) for i in nl.neurons.id],
+                            nl.neurons.layer, nl.neurons.threshold),
+            synapses=nl.synapses,  # endpoints are indices, not ids
             meta=nl.meta)
         stimuli = random_stimuli(net, 300, seed=4)
         assert replay(NetlistRuntime(opaque), stimuli) == replay(NetlistRuntime(nl), stimuli)
@@ -292,13 +293,45 @@ class TestGraphRuntime:
     def test_zero_delay_cycle_rejected_at_construction(self):
         nl = build_npid(default_config(n=15)).export_netlist()
 
+        ids = nl.neurons.id
+
         def with_back_edge(delay):
-            edge = SynapseSpec("control.reduce[0]", "error.agg_pos[0]", 2, delay)
-            return Netlist(nl.neurons, nl.synapses + [edge], nl.meta)
+            edge = (ids.index("control.reduce[0]"), ids.index("error.agg_pos[0]"), 2, delay)
+            cols = [col + [value] for col, value in zip(vars(nl.synapses).values(), edge)]
+            return Netlist(nl.neurons, Synapses(*cols), nl.meta)
 
         NetlistRuntime(with_back_edge(1))  # a delayed back edge is legal
         with pytest.raises(ValueError, match="cycle"):
             NetlistRuntime(with_back_edge(0))
+
+    @pytest.mark.parametrize("n", [15, 151])
+    def test_event_count_equals_raster_fan_out(self, n):
+        """events counts the synapses whose source spiked in the derived
+        raster this tick (delay 0) or the tick before (delay 1)."""
+        net = build_npid(default_config(n=n, decay=0.9))
+        nl = net.export_netlist()
+        rt = NetlistRuntime(nl)
+        net.record_raster(True)
+        events = []
+        for x, s in random_stimuli(net, 300, seed=8):
+            net.step(*x)
+            rt.step(s)
+            events.append(rt.events)
+        index = {nid: k for k, nid in enumerate(nl.neurons.id)}
+        spiked = np.zeros((301, len(index)), dtype=bool)  # row 0: before tick 0
+        for t, nid, _ in net.fetch_trace().raster:
+            spiked[t + 1, index[nid]] = True
+        src, delay = np.array(nl.synapses.src), np.array(nl.synapses.delay)
+        want = [int(spiked[t + 1 - delay, src].sum()) for t in range(300)]
+        assert events == want
+        assert min(want) > 0
+
+    @pytest.mark.parametrize("column", ["src", "dst", "delay"])
+    def test_out_of_range_column_rejected_by_runtime(self, column):
+        _, nl = fig2_setup()
+        getattr(nl.synapses, column)[0] = len(nl.neurons)
+        with pytest.raises(ValueError, match=f"synapses.{column}"):
+            NetlistRuntime(nl)
 
     def test_reset_equals_fresh_runtime(self):
         net = build_npid(default_config(n=15, decay=0.9))
@@ -311,8 +344,8 @@ class TestGraphRuntime:
 
     def test_reduce_without_one_winner_raises(self):
         _, nl = fig2_setup()
-        silent = [NeuronSpec(n.id, n.layer, 99) if n.layer == "reduce" else n
-                  for n in nl.neurons]
+        silent = Neurons(nl.neurons.id, nl.neurons.layer,
+                         [99 if n.layer == "reduce" else n.threshold for n in nl.neurons])
         rt = NetlistRuntime(Netlist(silent, nl.synapses, nl.meta))
         with pytest.raises(AssertionError, match="0 winners"):
             rt.step({"a": 1, "b": 1})
