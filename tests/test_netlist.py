@@ -178,6 +178,76 @@ class TestFilePin:
         assert h.hexdigest() == NETLIST_PIN_SHA256
 
 
+def file_order_sum(weights):
+    """Left to right from 0.0, as the units and the file order add."""
+    s = 0.0
+    for w in weights:
+        s += w
+    return s
+
+
+def summing_netlist(sources, weights, relay):
+    """One two-bin input population per weight; bin 1 of population
+    sources[k] carries weights[k] (in file order) into the sum S.  The
+    two-neuron reduce unit "u" picks bin 1 iff S >= 0.5.  Without relay
+    its neurons take S and -S directly (thresholds 0.5 and -0.5), so the
+    summing level has two neurons; with relay, S goes into a one-neuron
+    level whose spike the unit reads."""
+    k = len(weights)
+    ids = [f"p{i}[{b}]" for i in range(k) for b in (0, 1)]
+    layers, thresholds = [LAYER_INPUT] * len(ids), [0] * len(ids)
+    first = len(ids)
+    hot = [2 * s + 1 for s in sources]
+    if relay:
+        ids += ["sum", "u.reduce[0]", "u.reduce[1]"]
+        layers += ["aggregate-pos", "reduce", "reduce"]
+        thresholds += [0.5, 0, 1]
+        cols = ([*hot, first, first], [first] * k + [first + 1, first + 2],
+                [*weights, -2, 2], [0] * (k + 2))
+    else:
+        ids += ["u.reduce[0]", "u.reduce[1]"]
+        layers += ["reduce", "reduce"]
+        thresholds += [-0.5, 0.5]
+        cols = (hot + hot, [first] * k + [first + 1] * k,
+                [-w for w in weights] + list(weights), [0] * (2 * k))
+    grid = make_grid(0, 1, 2).to_dict()
+    meta = {"grids": {f"p{i}": grid for i in range(k)},
+            "unit_outputs": {"u": {"n": 2}}}
+    return Netlist(Neurons(ids, layers, thresholds), Synapses(*cols), meta)
+
+
+class TestSumOrderPin:
+    """Each neuron adds its active in-edges in file order: these sums give
+    a different winner in another order, so the winners pin the order."""
+
+    @pytest.mark.parametrize("sources", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("weights", [(1e16, 1.0, -1e16), (1.0, 1e16, -1e16)])
+    def test_three_in_edges(self, sources, weights):
+        assert {file_order_sum(p) >= 0.5
+                for p in itertools.permutations(weights)} == {False, True}
+        rt = NetlistRuntime(summing_netlist(sources, weights, relay=False))
+        for active in itertools.product((0, 1), repeat=3):
+            s = file_order_sum(w for w, a in zip(weights, active) if a)
+            stim = {f"p{i}": active[sources.index(i)] for i in range(3)}
+            assert rt.step(stim) == {"u": int(s >= 0.5)}, active
+
+    @pytest.mark.parametrize("sources", [range(11), range(10, -1, -1)])
+    def test_more_than_eight_in_edges_into_one_neuron(self, sources):
+        """numpy sums 8 or more terms of one axis pairwise, which gives 8
+        here; the file order gives 0."""
+        sources = list(sources)
+        weights = [2.0 ** 53] + [1.0] * 9 + [-2.0 ** 53]
+        assert file_order_sum(weights) == 0.0
+        assert float(np.sum(weights)) == 8.0
+        rt = NetlistRuntime(summing_netlist(sources, weights, relay=True))
+        rng = np.random.default_rng(5)
+        for active in [[1] * 11, [1] * 10 + [0], [0] + [1] * 10,
+                       *rng.integers(0, 2, (20, 11)).tolist()]:
+            s = file_order_sum(w for w, a in zip(weights, active) if a)
+            stim = {f"p{i}": active[sources.index(i)] for i in range(11)}
+            assert rt.step(stim) == {"u": int(s >= 0.5)}, active
+
+
 class TestRuntime:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_single_unit_matches_eval_unit(self, quantized):
