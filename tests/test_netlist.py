@@ -3,9 +3,12 @@
 import hashlib
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikepid.controller import build_npid, default_config
 from spikepid.grids import encode, make_grid
@@ -156,6 +159,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field):
             Netlist.from_dict(d)
 
+
+MAX_EXAMPLES = 100  # TestReplayProperty: about 2.5 s
 
 NETLIST_PIN_SHA256 = (
     "a5516af2379c5faa61c21ece0419f7e720bc38282b5917e0ce471826ec3d9965")
@@ -430,3 +435,100 @@ class TestGraphRuntime:
         fresh = NetlistRuntime(nl)
         fresh.step({"a": 2, "b": 2})
         assert rt.step({"a": 0, "b": 1}) == fresh.step({"a": 0, "b": 1})
+
+    @pytest.mark.parametrize("left_out", [
+        pops for k in (1, 2, 3)
+        for pops in itertools.combinations(("target", "measurement", "derivative"), k)])
+    def test_population_left_out_rejected_and_state_kept(self, left_out):
+        """Every input population is one-hot: leaving one out raises and
+        names it, and the tick that follows equals a fresh runtime's."""
+        net = build_npid(default_config(n=15, decay=0.9))
+        nl = net.export_netlist()
+        (_, before), (_, after) = random_stimuli(net, 2, seed=6)
+        rt, fresh = NetlistRuntime(nl), NetlistRuntime(nl)
+        assert rt.step(before) == fresh.step(before)
+        partial = {pop: b for pop, b in after.items() if pop not in left_out}
+        with pytest.raises(ValueError, match="leave out") as err:
+            rt.step(partial)
+        assert all(repr(pop) in str(err.value) for pop in left_out)
+        assert rt.step(after) == fresh.step(after)
+        assert rt.events == fresh.events
+
+
+def with_synapses(nl, *rows, first=False):
+    """nl with the synapse rows (src, dst, weight, delay) added at the end
+    of the file, or at its start."""
+    cols = [list(col) for col in vars(nl.synapses).values()]
+    for col, extra in zip(cols, zip(*rows)):
+        col[:] = [*extra, *col] if first else [*col, *extra]
+    return Netlist(nl.neurons, Synapses(*cols), nl.meta)
+
+
+class TestRowOrder:
+    """The runtime orders each level's rows so that every neuron sums its
+    in-edges in file order, and rejects a level where no order can."""
+
+    def test_topological_order_keeps_file_order(self):
+        """A neuron earlier in the file takes p1 before p2, so the order in
+        which the sources first appear (p1, p2, p0) misses the unit's p0,
+        p1, p2; the sorted pairs still give every sum in file order."""
+        weights = (1e16, 1.0, -1e16)
+        nl = summing_netlist([0, 1, 2], weights, relay=False)
+        decoy = len(nl.neurons)
+        nl = Netlist(Neurons(nl.neurons.id + ["decoy"], nl.neurons.layer + ["aggregate-pos"],
+                             nl.neurons.threshold + [0]), nl.synapses, nl.meta)
+        nl = with_synapses(nl, (3, decoy, 1.0, 0), (5, decoy, 1.0, 0), first=True)
+        rt = NetlistRuntime(nl)
+        for active in itertools.product((0, 1), repeat=3):
+            s = file_order_sum(w for w, a in zip(weights, active) if a)
+            assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {"u": int(s >= 0.5)}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conflicting_source_orders_rejected(self, k):
+        """Neuron j takes p_j before p_(j+1) mod k: each pair of sources
+        is ordered one way by one neuron, the cycle closes at the last."""
+        ids = [f"p{i}[{b}]" for i in range(k) for b in (0, 1)] + [f"n{j}" for j in range(k)]
+        neurons = Neurons(ids, ["input"] * 2 * k + ["reduce"] * k, [0] * 3 * k)
+        edges = [(2 * ((j + e) % k) + 1, 2 * k + j, 1.0, 0) for j in range(k) for e in (0, 1)]
+        nl = Netlist(neurons, Synapses(*map(list, zip(*edges))),
+                     {"unit_outputs": {"u": {"n": k}}})
+        names = ", ".join(f"'n{j}'" for j in range(k))
+        with pytest.raises(ValueError, match=f"neurons {names} take their inputs "
+                                             "in conflicting orders"):
+            NetlistRuntime(nl)
+
+    def test_source_feeding_a_neuron_twice_rejected(self):
+        _, nl = fig2_setup()
+        ids = nl.neurons.id
+        a0, pos0 = ids.index("a[0]"), ids.index("adder.agg_pos[0]")
+        NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 1)))  # once per delay is legal
+        with pytest.raises(ValueError, match=r"neuron 'adder\.agg_pos\[0\]' has two "
+                                             r"synapses from 'a\[0\]' with delay 0"):
+            NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 0)))
+
+
+class TestReplayProperty:
+    @given(n=st.integers(min_value=2, max_value=15).map(lambda k: 2 * k + 1),
+           distribution=st.sampled_from(["uniform", "quadratic"]),
+           quantized=st.booleans(),
+           mode=st.sampled_from(["floor", "nearest"]),
+           decay=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_replay_from_file_equals_network(self, n, distribution, quantized, mode,
+                                             decay, seed):
+        """Export, save, load and replay 200 seeded ticks: every unit's
+        winner equals the network's bin."""
+        net = build_npid(default_config(n=n, distribution=distribution,
+                                        quantized=quantized, decay=decay, mode=mode))
+        net.record_raster(True, raster=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            net.export_netlist().save(path)
+            rt = NetlistRuntime(Netlist.load(path))
+        for k, (x, s) in enumerate(random_stimuli(net, 200, seed)):
+            net.step(*x)
+            w = rt.step(s)
+            tr = net.fetch_trace()
+            assert (w["error"], w["integral"], w["control"]) == (
+                tr.error_bin[k], tr.integral_bin[k], tr.output_bin[k]), k
