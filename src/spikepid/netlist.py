@@ -276,7 +276,8 @@ def _row_order(at, empty, row, col, sources, nodes, ids) -> np.ndarray:
     by = np.argsort(col.astype(np.min_scalar_type(n_cols)), kind="stable")
     row, col = row[by], col[by]
     same = col[1:] == col[:-1]
-    pairs = np.unique((row[:-1] * n_rows + row[1:])[same])
+    pair = row[:-1] * n_rows + row[1:]  # (this source, the next) as one key
+    pairs = np.unique(pair[same])
     first, then = np.divmod(pairs, n_rows)  # pairs sort by their first source
     start = np.searchsorted(first, np.arange(n_rows + 1)).tolist()
     then_list = then.tolist()
@@ -290,16 +291,16 @@ def _row_order(at, empty, row, col, sources, nodes, ids) -> np.ndarray:
     if len(order) == n_rows:
         return np.array(order)
     # Every source left waits on another one left: walk back to a cycle,
-    # then name the neurons whose pairs close it.
+    # then name the first neuron that gives each of its pairs.
     left = np.ones(n_rows, dtype=bool)
     left[order] = False
     walk = [int(np.argmax(left))]
     while walk.count(walk[-1]) < 2:
         walk.append(next(a for a in first[then == walk[-1]].tolist() if left[a]))
     cycle = walk[walk.index(walk[-1]):]  # each source comes after the next
-    keys = np.array(cycle[1:]) * n_rows + np.array(cycle[:-1])
-    culprits = np.unique(col[1:][same & np.isin(row[:-1] * n_rows + row[1:], keys)])
-    names = ", ".join(repr(ids[k]) for k in nodes[culprits])
+    culprits = sorted({int(col[1:][same & (pair == a * n_rows + b)][0])
+                       for b, a in zip(cycle, cycle[1:])})
+    names = ", ".join(repr(ids[nodes[c]]) for c in culprits)
     raise ValueError(f"neurons {names} take their inputs in conflicting orders, "
                      "so no row order sums each in file order")
 

@@ -160,8 +160,6 @@ class TestSerialization:
             Netlist.from_dict(d)
 
 
-MAX_EXAMPLES = 100  # TestReplayProperty: about 2.5 s
-
 NETLIST_PIN_SHA256 = (
     "a5516af2379c5faa61c21ece0419f7e720bc38282b5917e0ce471826ec3d9965")
 
@@ -514,7 +512,7 @@ class TestReplayProperty:
            mode=st.sampled_from(["floor", "nearest"]),
            decay=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
            seed=st.integers(min_value=0, max_value=2 ** 16))
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @settings(max_examples=100, deadline=None)  # about 3 s
     def test_replay_from_file_equals_network(self, n, distribution, quantized, mode,
                                              decay, seed):
         """Export, save, load and replay 200 seeded ticks: every unit's
