@@ -393,7 +393,8 @@ class NetlistRuntime:
             row = slot[src[mine]]
             slot[nodes] = np.arange(len(nodes))
             col = slot[dst[mine]]
-            at = np.full((len(sources), len(nodes)), empty)  # each cell's synapse
+            # Each cell's synapse: its file position, or empty.
+            at = np.full((len(sources), len(nodes)), empty, dtype=np.int32)
             at[row, col] = mine
             order = _row_order(at, empty, row, col, sources, nodes, neurons.id)
             block = weight[at[order]]
