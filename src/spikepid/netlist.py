@@ -414,7 +414,7 @@ class NetlistRuntime:
 
     @property
     def events(self) -> int:
-        """Synapses whose source spiked on the last tick (delay 0) or the
+        """Synapses whose source fired on the last tick (delay 0) or the
         tick before (delay 1): the replay's synaptic-event count."""
         return int(self._fired.reshape(-1) @ self._fan_out)
 
