@@ -242,14 +242,20 @@ class AdderUnit:
         red = (REDUCE_EXC * (fire[self._exc1] + fire[self._exc2])
                + REDUCE_INH * (fire[self._inh1] + fire[self._inh2]))
         red_fire = red >= REDUCE_THRESHOLD
-        counts = red_fire.sum(axis=0, dtype=np.int32)
+        # One row-major pass lists every reduce spike as (neuron, batch
+        # row); a column-wise sum or argmax would stride across rows.
+        neuron, row = np.divmod(np.flatnonzero(red_fire), len(s))
+        counts = np.bincount(row, minlength=len(s))
         if (counts != 1).any():
             bad = int(np.flatnonzero(counts != 1)[0])
             raise AssertionError(
                 f"reduce layer of {self.name!r} produced {counts[bad]} winners "
                 f"for input bins {bins[bad].tolist()}"
             )
-        return red_fire.argmax(axis=0), agg[:pc].T, agg[pc:-1].T, red_fire.T
+        # Exactly one spike per row, so the scatter fills every row once.
+        winners = np.empty(len(s), dtype=np.intp)
+        winners[row] = neuron
+        return winners, agg[:pc].T, agg[pc:-1].T, red_fire.T
 
     def eval_all_pairs(self):
         """Spiking evaluation of every input-bin combination: an array of

@@ -187,6 +187,31 @@ class TestEvalUnit:
             count = mask.sum(axis=1)
             assert (mask == (np.arange(mask.shape[1]) < count[:, None])).all()
 
+    def test_empty_batch(self, fig2_unit):
+        winners, pos, neg, red = fig2_unit.eval_bins(np.zeros((0, 2), dtype=np.intp))
+        assert winners.shape == (0,) and winners.dtype == np.intp
+        assert pos.shape == (0, 3) and neg.shape == (0, 3) and red.shape == (0, 5)
+
+    def test_cut_inhibition_names_first_row_with_extra_winners(self, fig2_unit):
+        """Without the inhibitory synapses every firing positive aggregate
+        neuron fires its reduce neuron: 0 + 0 still has one winner, but
+        1 + 1 has three (values 0, 1 and 2) and 1 + 0 two."""
+        fig2_unit._inh1[:] = -1
+        with pytest.raises(AssertionError,
+                           match=r"^reduce layer of 'adder' produced 3 winners "
+                                 r"for input bins \[2, 2\]$"):
+            fig2_unit.eval_bins([[1, 1], [2, 2], [2, 1]])
+
+    def test_cut_excitation_names_first_row_without_winner(self, fig2_unit):
+        """Cutting the excitation of the positive non-zero reduce neurons
+        leaves 0 + 0 with its zero winner and 1 + 0 with none (its zero
+        neuron is still inhibited by aggregate-pos 1)."""
+        fig2_unit._exc1[fig2_unit.zero_index + 1:] = -1
+        with pytest.raises(AssertionError,
+                           match=r"^reduce layer of 'adder' produced 0 winners "
+                                 r"for input bins \[2, 1\]$"):
+            fig2_unit.eval_bins([[1, 1], [0, 0], [2, 1], [2, 2]])
+
 
 def _oracle_check(n, dist, mode, quantized, tol):
     g_in = make_grid(-1.25, 1.25, n, dist)
