@@ -1,7 +1,12 @@
 """Command-line front end: run, sweep, compare, verify-adder, bench,
 export-netlist.
 
-Exit status is nonzero when any verification reports a mismatch.
+run, compare, bench and export-netlist get their controller from one
+path: --config, or else step_experiment on the step flags given (a flag
+left out keeps its default there).  So bench times and export-netlist
+writes the controller that run flies.  Each verb takes only the flags it
+reads; any other flag, or a step flag given with --config, exits 2.
+Exit status is 1 when a verification reports a mismatch.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .controller import build_npid, default_config
+from .controller import build_npid
 from .harness import (
     ExperimentConfig,
     bench,
@@ -24,37 +29,44 @@ from .harness import (
     write_summary_csv,
 )
 
+# The flags that set a step_experiment argument: flag -> (argument,
+# argparse options).  Each defaults to SUPPRESS, so a flag left out is
+# absent from the parsed args and step_experiment's default applies.
+STEP_FLAGS = {
+    "--setpoint": ("setpoint", dict(type=float, help="target altitude [m]")),
+    "--neurons": ("n", dict(type=int, help="population resolution N")),
+    "--distribution": ("distribution", dict(choices=["uniform", "quadratic"])),
+    "--rate": ("rate", dict(type=float, help="control rate [Hz]")),
+    "--duration": ("duration", dict(type=float, help="run length [s]")),
+    "--decay": ("decay", dict(type=float, help="integral decay factor in (0, 1]")),
+    "--mode": ("mode", dict(choices=["floor", "nearest"],
+                            help="rounding mode of every unit")),
+    "--quantized": ("quantized", dict(
+        type=lambda s: s.lower() in ("1", "true", "yes"),
+        help="even-integer 8-bit weights")),
+}
+RUN = tuple(STEP_FLAGS)
+CONTROLLER = tuple(f for f in RUN if f not in ("--setpoint", "--duration"))
+GRID = ("--neurons", "--distribution", "--mode")
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--setpoint", type=float, default=1.5, help="target altitude [m]")
-    p.add_argument("--neurons", type=int, default=151, help="population resolution N")
-    p.add_argument("--distribution", choices=["uniform", "quadratic"],
-                   default="uniform")
-    p.add_argument("--rate", type=float, default=70.0, help="control rate [Hz]")
-    p.add_argument("--duration", type=float, default=20.0, help="run length [s]")
-    p.add_argument("--decay", type=float, default=0.92,
-                   help="integral decay factor in (0, 1]")
-    p.add_argument("--mode", choices=["floor", "nearest"], default="nearest",
-                   help="rounding mode of every unit")
-    p.add_argument("--quantized", type=lambda s: s.lower() in ("1", "true", "yes"),
-                   default=False, help="even-integer 8-bit weights")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default=None, help="output path prefix")
+
+def _step_args(args) -> dict:
+    """The step_experiment arguments among the flags given."""
+    names = {name for name, _ in STEP_FLAGS.values()} | {"controller"}
+    return {k: v for k, v in vars(args).items() if k in names}
 
 
-def _experiment_from_args(args, controller: str = "npid") -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-        return replace(cfg, controller=controller)
-    return step_experiment(
-        setpoint=args.setpoint, n=args.neurons, distribution=args.distribution,
-        controller=controller, decay=args.decay, mode=args.mode,
-        quantized=args.quantized, duration=args.duration, rate=args.rate,
-    )
+def _experiment_from_args(args, **override) -> ExperimentConfig:
+    """The run the flags describe; main has rejected step flags given
+    with --config, so only --controller can override the file."""
+    kwargs = _step_args(args) | override
+    if getattr(args, "config", None):
+        return replace(load_config(args.config), **kwargs)
+    return step_experiment(**kwargs)
 
 
 def cmd_run(args) -> int:
-    cfg = _experiment_from_args(args, controller=args.controller)
+    cfg = _experiment_from_args(args)
     trace, metrics = run_step_response(cfg)
     print(f"{cfg.controller} step to {cfg.setpoint} m "
           f"(N={cfg.npid.output_grid.n}, {cfg.npid.output_grid.distribution}):")
@@ -77,48 +89,43 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     setpoints = [float(s) for s in args.setpoints.split(",")]
     neurons = [int(s) for s in args.neuron_list.split(",")]
-    dist = {n: ("quadratic" if n <= 15 else "uniform") if args.distribution == "auto"
-            else args.distribution for n in neurons}
-    rows = sweep(setpoints, neurons, distribution_for=dist, decay=args.decay,
-                 mode=args.mode, quantized=args.quantized,
-                 duration=args.duration, rate=args.rate)
-    _print_rows(rows)
-    if args.out:
-        write_summary_csv(rows, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    kwargs = _step_args(args)
+    flag = kwargs.pop("distribution")
+    dist = {n: ("quadratic" if n <= 15 else "uniform") if flag == "auto" else flag
+            for n in neurons}
+    return _report(sweep(setpoints, neurons, distribution_for=dist, **kwargs),
+                   args.out)
 
 
 def cmd_compare(args) -> int:
-    cfgs = [
-        _experiment_from_args(args, controller="npid"),
-        _experiment_from_args(args, controller="baseline"),
-    ]
-    rows = compare(cfgs)
-    _print_rows(rows)
-    if args.out:
-        write_summary_csv(rows, args.out)
-        print(f"wrote {args.out}")
+    return _report(compare([_experiment_from_args(args, controller=controller)
+                            for controller in ("npid", "baseline")]), args.out)
+
+
+def _report(rows, out) -> int:
+    """Print summary rows as a table and, given a path, write them as CSV."""
+    if not rows:
+        print("(no runs)")
+    else:
+        cols = list(rows[0])
+        print(" | ".join(f"{c:>18}" for c in cols))
+        for r in rows:
+            print(" | ".join(
+                f"{r[c]:>18.4f}" if isinstance(r[c], float) else f"{str(r[c]):>18}"
+                for c in cols))
+    if out:
+        write_summary_csv(rows, out)
+        print(f"wrote {out}")
     return 0
 
 
-def _print_rows(rows) -> None:
-    if not rows:
-        print("(no runs)")
-        return
-    cols = list(rows[0])
-    print(" | ".join(f"{c:>18}" for c in cols))
-    for r in rows:
-        print(" | ".join(
-            f"{r[c]:>18.4f}" if isinstance(r[c], float) else f"{str(r[c]):>18}"
-            for c in cols))
-
-
 def cmd_verify_adder(args) -> int:
+    # The experiment's output grid and mode carry the flags' defaults.
+    cfg = _experiment_from_args(args).npid
     failures = 0
     for quantized in (False, True):
-        rep = verify_adder(args.neurons, distribution=args.distribution,
-                           mode=args.mode, quantized=quantized)
+        rep = verify_adder(cfg.output_grid.n, mode=cfg.mode, quantized=quantized,
+                           distribution=cfg.output_grid.distribution)
         print(rep.summary())
         if not rep.ok:
             failures += 1
@@ -128,24 +135,17 @@ def cmd_verify_adder(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = default_config(n=args.neurons, distribution=args.distribution,
-                         decay=args.decay, mode=args.mode,
-                         quantized=args.quantized, dt=1.0 / args.rate)
-    rep = bench(cfg, ticks=args.ticks)
+    rep = bench(_experiment_from_args(args).npid, ticks=args.ticks)
     print(rep.summary())
     return 0
 
 
 def cmd_export_netlist(args) -> int:
-    cfg = default_config(n=args.neurons, distribution=args.distribution,
-                         decay=args.decay, mode=args.mode,
-                         quantized=args.quantized, dt=1.0 / args.rate)
-    net = build_npid(cfg)
+    net = build_npid(_experiment_from_args(args).npid)
     nl = net.export_netlist()
-    path = args.out or "netlist.json"
-    nl.save(path)
+    nl.save(args.out)
     unit, inputs = net.neuron_count()
-    print(f"wrote {path}: {unit} unit neurons + {inputs} input neurons, "
+    print(f"wrote {args.out}: {unit} unit neurons + {inputs} input neurons, "
           f"{len(nl.synapses)} synapses")
     return 0
 
@@ -157,35 +157,44 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="single closed-loop step response")
-    _add_common(p)
-    p.add_argument("--controller", choices=["npid", "baseline"], default="npid")
-    p.set_defaults(fn=cmd_run)
+    def verb(name, fn, summary, flags, config=True, out=True):
+        # No abbreviations: sweep must not take --setpoint for --setpoints.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            dest, options = STEP_FLAGS[flag]
+            p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **options)
+        if config:
+            p.add_argument("--config", help="JSON config file, in place of the step flags")
+        if out:
+            p.add_argument("--out", help="output path (run: prefix)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sweep", help="set-points x population sizes")
-    _add_common(p)
+    p = verb("run", cmd_run, "single closed-loop step response", RUN)
+    p.add_argument("--controller", choices=["npid", "baseline"],
+                   default=argparse.SUPPRESS)
+
+    p = verb("sweep", cmd_sweep, "set-points x population sizes",
+             [f for f in RUN if f not in ("--setpoint", "--neurons")], config=False)
     p.add_argument("--setpoints", default="1.0,1.5,2.0,2.5,3.0")
     p.add_argument("--neuron-list", dest="neuron_list", default="151,63,15")
-    p.set_defaults(fn=cmd_sweep, distribution="auto")
+    p.set_defaults(distribution="auto")
 
-    p = sub.add_parser("compare", help="spiking vs conventional controller")
-    _add_common(p)
-    p.set_defaults(fn=cmd_compare)
+    verb("compare", cmd_compare, "spiking vs conventional controller", RUN)
+    verb("verify-adder", cmd_verify_adder, "exhaustive adder/oracle check", GRID,
+         config=False, out=False)
 
-    p = sub.add_parser("verify-adder", help="exhaustive adder/oracle check")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_adder)
-
-    p = sub.add_parser("bench", help="controller tick throughput")
-    _add_common(p)
+    p = verb("bench", cmd_bench, "controller tick throughput", CONTROLLER, out=False)
     p.add_argument("--ticks", type=int, default=1_000_000)
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("export-netlist", help="write the netlist JSON")
-    _add_common(p)
-    p.set_defaults(fn=cmd_export_netlist)
+    p = verb("export-netlist", cmd_export_netlist, "write the netlist JSON", CONTROLLER)
+    p.set_defaults(out="netlist.json")
 
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        for flag, (dest, _) in STEP_FLAGS.items():
+            if dest in args:
+                parser.error(f"argument {flag}: not allowed with --config")
     return args.fn(args)
 
 

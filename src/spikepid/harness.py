@@ -96,6 +96,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.npid.dt != 1.0 / self.rate:
+            raise ValueError("npid.dt must equal 1.0 / rate, the one control period; "
+                             f"got npid.dt={self.npid.dt!r} and rate={self.rate!r}")
         if (not isinstance(self.physics_substeps, numbers.Integral)
                 or self.physics_substeps < 1):
             raise ValueError("physics_substeps must be an integer >= 1, "
@@ -545,72 +548,56 @@ def _no_leftovers(d: dict, prefix: str) -> None:
         raise ValueError(f"unknown config key {names}")
 
 
+def _pop(d: dict, keys) -> dict:
+    """Pop the entries of d under the given keys, so that a key the file
+    leaves out keeps the default of the call it is passed to."""
+    return {key: d.pop(key) for key in keys if key in d}
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config JSON with sections gains / grids / plant
     / sensor / experiment; every field is optional and defaults to the
-    stock altitude-control setup.  Each read pops its key, and a section
+    run step_experiment builds.  Each read pops its key, and a section
     or key left unread raises ValueError naming it as section.key."""
     with open(path) as f:
         raw = _object(json.load(f), "")
-    gains_d = _object(raw.pop("gains", {}), "gains")
-    grids = _object(raw.pop("grids", {}), "grids")
-    plant_d = _object(raw.pop("plant", {}), "plant")
-    sensor_d = _object(raw.pop("sensor", {}), "sensor")
-    exp = _object(raw.pop("experiment", {}), "experiment")
+    gains_d, grids, plant_d, sensor_d, exp = (
+        _object(raw.pop(name, {}), name)
+        for name in ("gains", "grids", "plant", "sensor", "experiment"))
     _no_leftovers(raw, "")
-
-    gains = PidGains(kp=gains_d.pop("kp", 0.87), ti=gains_d.pop("ti", 0.17),
-                     td=gains_d.pop("td", 2.76))
+    gains = PidGains(**_pop(gains_d, ("kp", "ti", "td")))
     _no_leftovers(gains_d, "gains.")
 
-    n = grids.pop("n", 151)
-    dist = grids.pop("distribution", "uniform")
-    rate = exp.pop("rate", 70.0)
-    cfg = experiment_npid_config(n=n, distribution=dist,
-                                 decay=exp.pop("decay", 0.92),
-                                 mode=exp.pop("mode", "nearest"),
-                                 quantized=exp.pop("quantized", False),
-                                 rate=rate)
-    cfg = replace(cfg, gains=gains)
+    # The experiment keys and grids.n / grids.distribution are exactly
+    # step_experiment's parameters.
+    run = step_experiment(**_pop(exp, ("setpoint", "controller", "decay", "mode",
+                                       "quantized", "duration", "rate")),
+                          **_pop(grids, ("n", "distribution")))
 
-    def grid_override(name, default_spec):
+    def grid(name):
+        spec = getattr(run.npid, f"{name}_grid")
         if name not in grids:
-            return default_spec
+            return spec
         g = _object(grids.pop(name), f"grids.{name}")
         lo, hi = g.pop("range")
-        spec = GridSpec(lo, hi, g.pop("n", n),
-                        g.pop("distribution", default_spec.distribution))
+        spec = GridSpec(lo, hi, g.pop("n", spec.n),
+                        g.pop("distribution", spec.distribution))
         _no_leftovers(g, f"grids.{name}.")
         return spec
 
-    cfg = replace(
-        cfg,
-        target_grid=grid_override("target", cfg.target_grid),
-        error_grid=grid_override("error", cfg.error_grid),
-        derivative_grid=grid_override("derivative", cfg.derivative_grid),
-        output_grid=grid_override("output", cfg.output_grid),
-        integral_grid=(grid_override("integral", cfg.resolved_integral_grid())
-                       if "integral" in grids else cfg.integral_grid),
-    )
+    npid = replace(run.npid, gains=gains, **{
+        f"{name}_grid": grid(name)
+        for name in ("target", "error", "integral", "derivative", "output")})
     _no_leftovers(grids, "grids.")
 
-    plant = PlantParams(
-        mass=plant_d.pop("mass", 0.68),
-        drag=plant_d.pop("drag", 0.25),
-        motor_tau=plant_d.pop("motor_tau", 0.02),
-        hover_adjust=plant_d.pop("hover_adjust", 0.0),
-    )
-    run = ExperimentConfig(
-        controller=exp.pop("controller", "npid"),
-        npid=cfg,
-        plant=plant,
-        sensor_quantum=sensor_d.pop("quantum", 0.01),
-        sensor_window=sensor_d.pop("window", 1),
-        setpoint=exp.pop("setpoint", 1.5),
-        duration=exp.pop("duration", 20.0),
-        rate=rate,
-        battery_beta=plant_d.pop("battery_beta", 0.0),
-        label=exp.pop("label", ""),
+    run = replace(
+        run, npid=npid,
+        plant=PlantParams(**_pop(plant_d, ("mass", "drag", "motor_tau",
+                                           "hover_adjust"))),
+        **_pop(plant_d, ("battery_beta",)),
+        **{f"sensor_{key}": value
+           for key, value in _pop(sensor_d, ("quantum", "window")).items()},
+        label=exp.pop("label", ""),  # unlabelled unless the file names it
     )
     _no_leftovers(plant_d, "plant.")
     _no_leftovers(sensor_d, "sensor.")

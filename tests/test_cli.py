@@ -5,6 +5,9 @@ import json
 import pytest
 
 from spikepid.cli import main
+from spikepid.controller import build_npid
+from spikepid.harness import step_experiment
+from spikepid.netlist import Netlist
 
 
 def test_run(capsys, tmp_path):
@@ -96,3 +99,70 @@ def test_config_file_drives_run(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.fixture
+def n15_config(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"grids": {"n": 15}}))
+    return str(p)
+
+
+# Flags a verb does not read, each with a value argparse would accept.
+UNREAD = [
+    *(("verify-adder", flag, value) for flag, value in (
+        ("--setpoint", "1.0"), ("--rate", "70"), ("--duration", "1"),
+        ("--decay", "0.9"), ("--quantized", "true"), ("--config", "F"),
+        ("--out", "x"))),
+    *(("sweep", flag, value) for flag, value in (
+        ("--setpoint", "1.0"), ("--neurons", "15"), ("--config", "F"))),
+    *(("bench", flag, value) for flag, value in (
+        ("--setpoint", "1.0"), ("--duration", "1"), ("--out", "x"))),
+    *(("export-netlist", flag, value) for flag, value in (
+        ("--setpoint", "1.0"), ("--duration", "1"))),
+]
+
+
+@pytest.mark.parametrize("verb,flag,value", UNREAD)
+def test_unread_flag_rejected_by_name(capsys, verb, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_config_with_step_flag_rejected_by_name(capsys, n15_config, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", n15_config, "--neurons", "15"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--neurons" in err and "--config" in err
+
+
+def test_config_combines_with_controller(capsys, n15_config):
+    rc = main(["run", "--config", n15_config, "--controller", "baseline"])
+    assert rc == 0
+    assert "baseline step" in capsys.readouterr().out
+
+
+def test_bench_reads_config(capsys, n15_config):
+    rc = main(["bench", "--config", n15_config, "--ticks", "1000"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("n=15:")
+
+
+def test_export_netlist_reads_config(tmp_path, capsys, n15_config):
+    out = tmp_path / "net.json"
+    rc = main(["export-netlist", "--config", n15_config, "--out", str(out)])
+    assert rc == 0
+    assert "93 unit neurons" in capsys.readouterr().out
+    layers = Netlist.load(out).neurons.layer
+    assert sum(layer != "input" for layer in layers) == 93
+
+
+def test_export_netlist_is_the_controller_run_flies(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    assert main(["export-netlist", "--neurons", "15", "--out", str(out)]) == 0
+    flown = build_npid(step_experiment(n=15).npid).export_netlist()
+    assert Netlist.load(out).to_dict() == flown.to_dict()

@@ -82,6 +82,16 @@ class TestRunStepResponse:
         with pytest.raises(ValueError, match=name):
             replace(step_experiment(n=15), **{name: value})
 
+    @pytest.mark.parametrize("make", [
+        lambda: replace(step_experiment(n=63, duration=5), rate=35.0),
+        lambda: ExperimentConfig(rate=100.0),
+    ], ids=["replaced-rate", "constructed-rate"])
+    def test_control_period_has_one_source(self, make):
+        # The plant ticks at rate and the integral unit integrates over
+        # npid.dt; a config where they disagree flies neither.
+        with pytest.raises(ValueError, match=r"npid\.dt.*rate"):
+            make()
+
     def test_battery_sag_pulls_altitude_down(self):
         from dataclasses import replace
 
