@@ -6,7 +6,9 @@ path: --config, or else step_experiment on the step flags given (a flag
 left out keeps its default there).  So bench times and export-netlist
 writes the controller that run flies.  Each verb takes only the flags it
 reads; any other flag, or a step flag given with --config, exits 2.
-Exit status is 1 when a verification reports a mismatch.
+A bad flag value or config value exits 2 with the verb's usage line and
+a message that names it.  Exit status is 1 when a verification reports
+a mismatch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .harness import (
     load_config,
     run_step_response,
     step_experiment,
-    sweep,
     verify_adder,
     write_summary_csv,
 )
@@ -50,6 +51,14 @@ CONTROLLER = tuple(f for f in RUN if f not in ("--setpoint", "--duration"))
 GRID = ("--neurons", "--distribution", "--mode")
 
 
+def _list_of(kind):
+    """argparse type for comma-separated kind values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
+
+
 def _step_args(args) -> dict:
     """The step_experiment arguments among the flags given."""
     names = {name for name, _ in STEP_FLAGS.values()} | {"controller"}
@@ -58,11 +67,15 @@ def _step_args(args) -> dict:
 
 def _experiment_from_args(args, **override) -> ExperimentConfig:
     """The run the flags describe; main has rejected step flags given
-    with --config, so only --controller can override the file."""
+    with --config, so only --controller can override the file.  A bad
+    value or config file exits 2 naming it."""
     kwargs = _step_args(args) | override
-    if getattr(args, "config", None):
-        return replace(load_config(args.config), **kwargs)
-    return step_experiment(**kwargs)
+    try:
+        if getattr(args, "config", None):
+            return replace(load_config(args.config), **kwargs)
+        return step_experiment(**kwargs)
+    except (ValueError, OSError) as e:
+        args.parser.error(str(e))
 
 
 def cmd_run(args) -> int:
@@ -87,14 +100,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    setpoints = [float(s) for s in args.setpoints.split(",")]
-    neurons = [int(s) for s in args.neuron_list.split(",")]
-    kwargs = _step_args(args)
-    flag = kwargs.pop("distribution")
-    dist = {n: ("quadratic" if n <= 15 else "uniform") if flag == "auto" else flag
-            for n in neurons}
-    return _report(sweep(setpoints, neurons, distribution_for=dist, **kwargs),
-                   args.out)
+    auto = args.distribution == "auto"
+    return _report(compare([
+        _experiment_from_args(args, setpoint=sp, n=n, distribution=(
+            ("quadratic" if n <= 15 else "uniform") if auto else args.distribution))
+        for n in args.neuron_list for sp in args.setpoints]), args.out)
 
 
 def cmd_compare(args) -> int:
@@ -167,7 +177,7 @@ def main(argv=None) -> int:
             p.add_argument("--config", help="JSON config file, in place of the step flags")
         if out:
             p.add_argument("--out", help="output path (run: prefix)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     p = verb("run", cmd_run, "single closed-loop step response", RUN)
@@ -176,8 +186,9 @@ def main(argv=None) -> int:
 
     p = verb("sweep", cmd_sweep, "set-points x population sizes",
              [f for f in RUN if f not in ("--setpoint", "--neurons")], config=False)
-    p.add_argument("--setpoints", default="1.0,1.5,2.0,2.5,3.0")
-    p.add_argument("--neuron-list", dest="neuron_list", default="151,63,15")
+    p.add_argument("--setpoints", type=_list_of(float), default="1.0,1.5,2.0,2.5,3.0")
+    p.add_argument("--neuron-list", dest="neuron_list", type=_list_of(int),
+                   default="151,63,15")
     p.set_defaults(distribution="auto")
 
     verb("compare", cmd_compare, "spiking vs conventional controller", RUN)
@@ -194,7 +205,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         for flag, (dest, _) in STEP_FLAGS.items():
             if dest in args:
-                parser.error(f"argument {flag}: not allowed with --config")
+                args.parser.error(f"argument {flag}: not allowed with --config")
     return args.fn(args)
 
 

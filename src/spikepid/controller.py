@@ -23,12 +23,11 @@ neurons, plus 3N input neurons (target, measurement, derivative).
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import QUADRATIC, UNIFORM, ValueGrid, encode, make_grid
+from .grids import ValueGrid, check_grid, encode, make_grid
 from .netlist import Netlist, export_netlist, neuron_columns
 from .reference import PidGains
 from .units import MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
@@ -65,21 +64,10 @@ class GridSpec:
     def validate(self, name: str) -> None:
         """Raise ValueError, naming the field as name.attribute, for a
         grid that make_grid cannot build."""
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise ValueError(f"{name}.n must be an integer >= 2, got {self.n!r}")
-        for end in ("lo", "hi"):
-            if not math.isfinite(getattr(self, end)):
-                raise ValueError(
-                    f"{name}.{end} must be finite, got {getattr(self, end)!r}")
-        if not self.lo < self.hi:
-            raise ValueError(
-                f"{name}.lo must be < {name}.hi, got [{self.lo!r}, {self.hi!r}]")
-        if self.distribution not in (UNIFORM, QUADRATIC):
-            raise ValueError(f"{name}.distribution must be {UNIFORM!r} or "
-                             f"{QUADRATIC!r}, got {self.distribution!r}")
-        if self.distribution == QUADRATIC and self.lo != -self.hi:
-            raise ValueError(f"{name}.lo must equal -{name}.hi for a quadratic "
-                             f"grid, got [{self.lo!r}, {self.hi!r}]")
+        try:
+            check_grid(self.lo, self.hi, self.n, self.distribution)
+        except ValueError as e:
+            raise ValueError(f"{name}.{e}") from None
 
 
 @dataclass(frozen=True)
@@ -165,29 +153,21 @@ class NpidConfig:
 
 
 def default_config(n: int = 151, distribution: str = "uniform",
-                   quantized: bool = False, decay: float = 1.0,
-                   mode: str = "nearest", dt: float = 1.0 / 70.0,
-                   gains: PidGains | None = None) -> NpidConfig:
-    """Config with the stock altitude-control values: gains (0.87, 0.17,
-    2.76), target range [0, 4] m, derivative range +/-0.5 m/s, output
-    range +/-1.25 N, all populations at resolution n.
+                   **fields) -> NpidConfig:
+    """NpidConfig's stock values with every population at resolution n;
+    any other NpidConfig field passes through.
 
     distribution applies to the signed grids (error, integral, output);
     the target/measurement grid is asymmetric and the derivative input is
     already narrow, so both stay uniform.
     """
-    return NpidConfig(
-        gains=gains or PidGains(),
-        dt=dt,
-        decay=decay,
-        mode=mode,
-        quantized=quantized,
-        target_grid=GridSpec(0.0, 4.0, n),
-        error_grid=GridSpec(-4.0, 4.0, n, distribution),
-        integral_grid=None,
-        derivative_grid=GridSpec(-0.5, 0.5, n),
-        output_grid=GridSpec(-1.25, 1.25, n, distribution),
-    )
+    # The class attributes of a dataclass are its fields' defaults.
+    return NpidConfig(**{
+        "target_grid": replace(NpidConfig.target_grid, n=n),
+        "error_grid": replace(NpidConfig.error_grid, n=n, distribution=distribution),
+        "derivative_grid": replace(NpidConfig.derivative_grid, n=n),
+        "output_grid": replace(NpidConfig.output_grid, n=n, distribution=distribution),
+        **fields})
 
 
 @dataclass

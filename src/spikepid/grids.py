@@ -10,10 +10,11 @@ any real input.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["ValueGrid", "make_grid", "encode", "decode"]
+__all__ = ["ValueGrid", "check_grid", "make_grid", "encode", "decode"]
 
 UNIFORM = "uniform"
 QUADRATIC = "quadratic"
@@ -86,6 +87,23 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return vals
 
 
+def check_grid(lo: float, hi: float, n: int, distribution: str) -> None:
+    """Raise ValueError for a grid make_grid cannot build; each message
+    starts with the argument's name, for a caller to prefix its field."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    for name, end in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(end):
+            raise ValueError(f"{name} must be finite, got {end!r}")
+    if not lo < hi:
+        raise ValueError(f"lo must be < hi, got [{lo!r}, {hi!r}]")
+    if distribution not in (UNIFORM, QUADRATIC):
+        raise ValueError(f"distribution must be {UNIFORM!r} or {QUADRATIC!r}, "
+                         f"got {distribution!r}")
+    if distribution == QUADRATIC and lo != -hi:
+        raise ValueError(f"lo must equal -hi for a quadratic grid, got [{lo!r}, {hi!r}]")
+
+
 def make_grid(lo: float, hi: float, n: int, distribution: str = UNIFORM) -> ValueGrid:
     """Construct a position-code grid over [lo, hi] with n bins.
 
@@ -94,14 +112,10 @@ def make_grid(lo: float, hi: float, n: int, distribution: str = UNIFORM) -> Valu
     sign(u)*u^2, which densifies bins around zero; they require a
     symmetric range (lo == -hi).
 
-    Raises ValueError for lo >= hi, n < 2, or a quadratic request with an
-    asymmetric range.
+    Raises ValueError, naming the argument, for a grid check_grid rejects.
     """
+    check_grid(lo, hi, n, distribution)
     lo, hi = float(lo), float(hi)
-    if not (lo < hi):
-        raise ValueError(f"invalid range: lo={lo} must be < hi={hi}")
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 values, got n={n}")
 
     symmetric = lo == -hi
     if distribution == UNIFORM:
@@ -111,11 +125,7 @@ def make_grid(lo: float, hi: float, n: int, distribution: str = UNIFORM) -> Valu
             vals = _mirrored_levels(half)
         else:
             vals = _linspace(lo, hi, n)
-    elif distribution == QUADRATIC:
-        if not symmetric:
-            raise ValueError(
-                f"quadratic distribution requires a symmetric range, got [{lo}, {hi}]"
-            )
+    else:  # QUADRATIC, on the symmetric range check_grid requires
         a = math.sqrt(hi)
         if n % 2 == 1:
             u_half = _linspace(0.0, a, (n + 1) // 2)
@@ -126,8 +136,6 @@ def make_grid(lo: float, hi: float, n: int, distribution: str = UNIFORM) -> Valu
             u = _linspace(-a, a, n)
             vals = [math.copysign(x * x, x) for x in u]
             vals[0], vals[-1] = lo, hi
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
 
     for a, b in zip(vals, vals[1:]):
         if not (a < b):

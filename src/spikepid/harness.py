@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,11 +61,10 @@ def experiment_npid_config(n: int = 151, distribution: str = "uniform",
     let the wound-up integral drain instead of parking the loop off
     target.
     """
-    cfg = default_config(n=n, distribution=distribution, decay=decay,
-                         mode=mode, quantized=quantized, dt=1.0 / rate)
-    return replace(cfg,
-                   error_grid=GridSpec(-2.0, 2.0, n, distribution),
-                   integral_grid=GridSpec(-0.1, 0.1, n, "quadratic"))
+    return default_config(n=n, distribution=distribution, decay=decay, mode=mode,
+                          quantized=quantized, dt=1.0 / rate,
+                          error_grid=GridSpec(-2.0, 2.0, n, distribution),
+                          integral_grid=GridSpec(-0.1, 0.1, n, "quadratic"))
 
 
 @dataclass(frozen=True)
@@ -370,20 +369,20 @@ class BenchReport:
 
 
 def bench(config: NpidConfig | None = None, ticks: int = 1_000_000,
-          seed: int = 0, latency_samples: int = 20_000) -> BenchReport:
+          latency_samples: int = 20_000) -> BenchReport:
     """Wall-clock throughput of the controller step.
 
-    Drives the network with a fixed pseudo-random input cycle; reports
-    mean throughput over all ticks plus per-tick latency percentiles
-    measured on a sample.
+    Drives the network with a fixed pseudo-random input cycle over its
+    target and derivative grids; reports mean throughput over all ticks
+    plus per-tick latency percentiles measured on a sample.
     """
     cfg = config or default_config(n=15, distribution="quadratic")
     net = build_npid(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cycle = 1024
-    targets = rng.uniform(0.0, 4.0, cycle).tolist()
-    meas = rng.uniform(0.0, 4.0, cycle).tolist()
-    derivs = rng.uniform(-0.5, 0.5, cycle).tolist()
+    tm, dg = cfg.target_grid, cfg.derivative_grid
+    targets, meas = rng.uniform(tm.lo, tm.hi, (2, cycle)).tolist()
+    derivs = rng.uniform(dg.lo, dg.hi, cycle).tolist()
 
     step = net.step
     for k in range(cycle):  # warmup
@@ -481,10 +480,9 @@ def emit(trace: TraceRecord, fmt: str, path, setpoint: float | None = None,
         raise ValueError(f"unknown emit format {fmt!r}")
 
 
-def write_svg(series, path, setpoint: float | None = None, band: float = 0.0,
-              width: int = 640, height: int = 360) -> None:
-    """Minimal line plot: one polyline per (label, xs, ys) series."""
-    pad = 40
+def write_svg(series, path, setpoint: float | None = None, band: float = 0.0) -> None:
+    """Minimal 640x360 line plot: one polyline per (label, xs, ys) series."""
+    width, height, pad = 640, 360, 40
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if setpoint is not None:
@@ -590,10 +588,12 @@ def load_config(path) -> ExperimentConfig:
         for name in ("target", "error", "integral", "derivative", "output")})
     _no_leftovers(grids, "grids.")
 
+    try:
+        plant = PlantParams(**_pop(plant_d, [f.name for f in fields(PlantParams)]))
+    except ValueError as e:
+        raise ValueError(f"plant.{e}") from None
     run = replace(
-        run, npid=npid,
-        plant=PlantParams(**_pop(plant_d, ("mass", "drag", "motor_tau",
-                                           "hover_adjust"))),
+        run, npid=npid, plant=plant,
         **_pop(plant_d, ("battery_beta",)),
         **{f"sensor_{key}": value
            for key, value in _pop(sensor_d, ("quantum", "window")).items()},

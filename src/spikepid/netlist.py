@@ -176,14 +176,12 @@ def neuron_columns(units, inputs: dict) -> Neurons:
 def export_netlist(units, inputs, wiring=None) -> Netlist:
     """Flatten adder units and input populations into a Netlist.
 
-    inputs: dict name -> ValueGrid (or a list, auto-named input0..).
+    inputs: dict name -> ValueGrid.
     wiring: per unit, one (kind, name, delay) triple per input port where
     kind is "input" (a named population) or "unit" (that unit's reduce
     layer).  When omitted, ports consume the input populations in file
     order, unit by unit.
     """
-    if not isinstance(inputs, dict):
-        inputs = {f"input{i}": g for i, g in enumerate(inputs)}
     units = list(units)
 
     if wiring is None:

@@ -9,8 +9,11 @@ makes the derivative channel jumpy at high loop rates.
 
 Non-finite policy: the plant rejects a non-finite input where it enters,
 with a ValueError that names it, before it touches any state.
-plant_step rejects a command that is not finite, a dt that is not finite
-and positive, and substeps that is not an integer >= 1; sense rejects a
+PlantParams rejects a mass that is not finite and positive, a drag or
+motor_tau that is not finite and >= 0, and a hover_adjust that puts the
+hover thrust outside the thrust limits [0, 4 * mass * G]; plant_step
+rejects a command that is not finite, a dt that is not finite and
+positive, and substeps that is not an integer >= 1; sense rejects a
 state whose altitude z is not finite and a dt_ctrl that is not finite
 and positive; SensorModel rejects a quantum that is not finite and
 positive and a window that is not an integer >= 1; battery_sag rejects
@@ -36,31 +39,33 @@ __all__ = [
     "battery_sag",
 ]
 
-G = 9.81
+G = 9.81  # m/s^2
 
 
 @dataclass(frozen=True)
 class PlantParams:
+    """Settable plant constants.  Rotors push with 0 to thrust_max N."""
+
     mass: float = 0.68            # kg
-    g: float = G                  # m/s^2
     drag: float = 0.25            # N*s/m, linear in vz
     motor_tau: float = 0.02       # s; 0 = instantaneous thrust
-    thrust_min: float = 0.0       # N; rotors cannot pull down
-    thrust_max: float | None = None  # N; default 4x hover
-    hover_adjust: float = 0.0     # N, hand-trim on top of mass*g
+    hover_adjust: float = 0.0     # N, hand-trim on top of mass*G
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.drag < 0:
-            raise ValueError("drag must be >= 0")
-        if self.motor_tau < 0:
-            raise ValueError("motor time constant must be >= 0")
-        if self.thrust_max is None:
-            object.__setattr__(self, "thrust_max", 4.0 * self.mass * self.g)
-        hover = self.mass * self.g + self.hover_adjust
-        if not self.thrust_min <= hover <= self.thrust_max:
-            raise ValueError("hover thrust must lie within the thrust limits")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
+        for name in ("drag", "motor_tau"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= hover_thrust(self) <= self.thrust_max:
+            raise ValueError(f"hover_adjust must keep the hover thrust within "
+                             f"[0, {self.thrust_max!r}] N, got {self.hover_adjust!r}")
+
+    @property
+    def thrust_max(self) -> float:
+        """Upper thrust limit in N: four times the weight."""
+        return 4.0 * self.mass * G
 
 
 @dataclass
@@ -72,8 +77,8 @@ class PlantState:
 
 
 def hover_thrust(params: PlantParams) -> float:
-    """Weight-compensating thrust: mass * g plus the hand adjustment."""
-    return params.mass * params.g + params.hover_adjust
+    """Weight-compensating thrust: mass * G plus the hand adjustment."""
+    return params.mass * G + params.hover_adjust
 
 
 def plant_step(state: PlantState, command: float, dt: float,
@@ -98,9 +103,9 @@ def plant_step(state: PlantState, command: float, dt: float,
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if not math.isfinite(command):
         raise ValueError(f"command must be finite, got {command!r}")
-    cmd = min(max(command, params.thrust_min), params.thrust_max)
+    cmd = min(max(command, 0.0), params.thrust_max)
     mass, drag = params.mass, params.drag
-    weight = mass * params.g
+    weight = mass * G
     lag = params.motor_tau > 0
     alpha = 1.0 - math.exp(-dt / params.motor_tau) if lag else 1.0
     z, vz, thrust, t = state.z, state.vz, state.thrust, state.t
@@ -132,9 +137,6 @@ class SensorModel:
             raise ValueError(f"quantum must be finite and positive, got {self.quantum!r}")
         if not isinstance(self.window, numbers.Integral) or self.window < 1:
             raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
-
-    def reset(self) -> None:
-        self._history.clear()
 
 
 def sense(model: SensorModel, state: PlantState, dt_ctrl: float) -> tuple[float, float]:

@@ -166,3 +166,29 @@ def test_export_netlist_is_the_controller_run_flies(tmp_path, capsys):
     assert main(["export-netlist", "--neurons", "15", "--out", str(out)]) == 0
     flown = build_npid(step_experiment(n=15).npid).export_netlist()
     assert Netlist.load(out).to_dict() == flown.to_dict()
+
+
+@pytest.fixture
+def nan_drag_config(tmp_path):
+    p = tmp_path / "nan_drag.json"
+    p.write_text('{"plant": {"drag": NaN}}')  # Python's json reads NaN
+    return str(p)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["run", "--neurons", "1"], "target_grid.n"),
+    (["verify-adder", "--neurons", "1"], "target_grid.n"),
+    (["bench", "--decay", "1.5"], "decay"),
+    (["sweep", "--setpoints", "1.0,x"], "--setpoints"),
+    (["sweep", "--neuron-list", "15,1", "--duration", "1"], "target_grid.n"),
+    (["run", "--config", "/nonexistent.json"], "/nonexistent.json"),
+    (["run", "--config", "NAN_DRAG"], "plant.drag"),
+])
+def test_bad_value_exits_2_naming_it(capsys, nan_drag_config, argv, name):
+    argv = [nan_drag_config if a == "NAN_DRAG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: spikepid {argv[0]} ")
+    assert name in err.splitlines()[-1]

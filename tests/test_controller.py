@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spikepid.controller import GridSpec, NpidConfig, build_npid, default_config
+from spikepid.grids import make_grid
 from spikepid.harness import step_experiment
 from spikepid.reference import PidOracle
 from spikepid.units import AdderUnit
@@ -99,6 +100,18 @@ class TestConfigValidation:
             replace(default_config(n=15), **{grid: spec})
         with pytest.raises(ValueError, match=re.escape(f"{grid}.{attr}")):
             build_npid(replace(default_config(n=15), **{grid: spec}))
+
+    @pytest.mark.parametrize("spec", [
+        *(replace(GRID_FIELDS["target_grid"], **{attr: value})
+          for attr, value in BAD_GRID_VALUES),
+        GridSpec(-2.0, 4.0, 15, "quadratic"),
+    ])
+    def test_make_grid_shares_the_grid_spec_rules(self, spec):
+        with pytest.raises(ValueError) as field_error:
+            spec.validate("target_grid")
+        with pytest.raises(ValueError) as grid_error:
+            make_grid(spec.lo, spec.hi, spec.n, spec.distribution)
+        assert f"target_grid.{grid_error.value}" == str(field_error.value)
 
     def test_asymmetric_quadratic_grid_rejected_by_field(self):
         with pytest.raises(ValueError, match=r"^error_grid\.lo "):

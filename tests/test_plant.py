@@ -162,6 +162,17 @@ class TestNonFinitePolicy:
         with pytest.raises(ValueError, match="dt_ctrl"):
             sense(SensorModel(), PlantState(z=1.0), bad)
 
+    @pytest.mark.parametrize("name,bad", [
+        ("mass", 0.0), ("mass", -1.0), ("mass", math.nan), ("mass", math.inf),
+        ("drag", -1.0), ("drag", math.nan), ("drag", math.inf),
+        ("motor_tau", -1.0), ("motor_tau", math.nan), ("motor_tau", math.inf),
+        ("hover_adjust", -7.0), ("hover_adjust", 21.0), ("hover_adjust", math.nan),
+        ("hover_adjust", math.inf), ("hover_adjust", -math.inf),
+    ])
+    def test_plant_params_reject_bad_field_by_name(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            PlantParams(**{name: bad})
+
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_battery_sag_rejects_bad_rate_by_name(self, bad):
         with pytest.raises(ValueError, match="beta"):
