@@ -8,16 +8,14 @@ just with a steady offset inside their wide zero-error bin.
 
 import os
 
-from spikepid import sweep
+from spikepid import compare, step_experiment
 from spikepid.harness import write_summary_csv
 
 os.makedirs("out", exist_ok=True)
 
-rows = sweep(
-    setpoints=(1.0, 1.5, 2.0, 2.5, 3.0),
-    neuron_counts=(151, 63, 15),
-    distribution_for={151: "uniform", 63: "uniform", 15: "quadratic"},
-)
+rows = compare([step_experiment(setpoint=sp, n=n, distribution=dist)
+                for n, dist in ((151, "uniform"), (63, "uniform"), (15, "quadratic"))
+                for sp in (1.0, 1.5, 2.0, 2.5, 3.0)])
 
 print(f"{'N':>4} {'dist':>10} {'sp':>5} {'rise':>6} {'over%':>6} "
       f"{'settle':>7} {'sse_cm':>7}")

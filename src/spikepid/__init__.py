@@ -13,7 +13,6 @@ from .harness import (
     emit,
     run_step_response,
     step_experiment,
-    sweep,
     verify_adder,
 )
 from .netlist import Netlist, NetlistRuntime
@@ -38,6 +37,5 @@ __all__ = [
     "one_hot",
     "run_step_response",
     "step_experiment",
-    "sweep",
     "verify_adder",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .controller import build_npid
@@ -65,17 +66,25 @@ def _step_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in names}
 
 
+@contextmanager
+def _bad_value_exits_2(args):
+    """Turn the ValueError or OSError that names a bad value into exit 2
+    with the verb's usage line."""
+    try:
+        yield
+    except (ValueError, OSError) as e:
+        args.parser.error(str(e))
+
+
 def _experiment_from_args(args, **override) -> ExperimentConfig:
     """The run the flags describe; main has rejected step flags given
     with --config, so only --controller can override the file.  A bad
     value or config file exits 2 naming it."""
     kwargs = _step_args(args) | override
-    try:
+    with _bad_value_exits_2(args):
         if getattr(args, "config", None):
             return replace(load_config(args.config), **kwargs)
         return step_experiment(**kwargs)
-    except (ValueError, OSError) as e:
-        args.parser.error(str(e))
 
 
 def cmd_run(args) -> int:
@@ -114,15 +123,12 @@ def cmd_compare(args) -> int:
 
 def _report(rows, out) -> int:
     """Print summary rows as a table and, given a path, write them as CSV."""
-    if not rows:
-        print("(no runs)")
-    else:
-        cols = list(rows[0])
-        print(" | ".join(f"{c:>18}" for c in cols))
-        for r in rows:
-            print(" | ".join(
-                f"{r[c]:>18.4f}" if isinstance(r[c], float) else f"{str(r[c]):>18}"
-                for c in cols))
+    cols = list(rows[0])
+    print(" | ".join(f"{c:>18}" for c in cols))
+    for r in rows:
+        print(" | ".join(
+            f"{r[c]:>18.4f}" if isinstance(r[c], float) else f"{str(r[c]):>18}"
+            for c in cols))
     if out:
         write_summary_csv(rows, out)
         print(f"wrote {out}")
@@ -134,8 +140,9 @@ def cmd_verify_adder(args) -> int:
     cfg = _experiment_from_args(args).npid
     failures = 0
     for quantized in (False, True):
-        rep = verify_adder(cfg.output_grid.n, mode=cfg.mode, quantized=quantized,
-                           distribution=cfg.output_grid.distribution)
+        with _bad_value_exits_2(args):  # n past verify_adder's limit
+            rep = verify_adder(cfg.output_grid.n, mode=cfg.mode, quantized=quantized,
+                               distribution=cfg.output_grid.distribution)
         print(rep.summary())
         if not rep.ok:
             failures += 1
@@ -145,7 +152,9 @@ def cmd_verify_adder(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rep = bench(_experiment_from_args(args).npid, ticks=args.ticks)
+    cfg = _experiment_from_args(args).npid
+    with _bad_value_exits_2(args):
+        rep = bench(cfg, ticks=args.ticks)
     print(rep.summary())
     return 0
 

@@ -40,45 +40,26 @@ __all__ = [
     "verify_adder",
     "BenchReport",
     "bench",
-    "sweep",
     "compare",
     "emit",
     "load_config",
 ]
 
 
-def experiment_npid_config(n: int = 151, distribution: str = "uniform",
-                           decay: float = 0.92, mode: str = "nearest",
-                           quantized: bool = False,
-                           rate: float = 70.0) -> NpidConfig:
-    """Controller config tuned for the closed-loop experiments.
-
-    On top of the stock config this narrows the error grid to +/-2 m
-    (errors past 1.44 m saturate the proportional term anyway, so the
-    finer bins are free) and uses a +/-0.1 quadratic integral grid: the
-    nearest-rounded recurrence only sheds an integral bin when the decay
-    step exceeds half a bin, so fine central bins plus a decay of 0.92
-    let the wound-up integral drain instead of parking the loop off
-    target.
-    """
-    return default_config(n=n, distribution=distribution, decay=decay, mode=mode,
-                          quantized=quantized, dt=1.0 / rate,
-                          error_grid=GridSpec(-2.0, 2.0, n, distribution),
-                          integral_grid=GridSpec(-0.1, 0.1, n, "quadratic"))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One closed-loop run: controller, plant, sensor and timing."""
+    """One closed-loop run: controller, plant, sensor and timing.
 
+    The control period is npid.dt: the plant, the sensor and the metrics
+    tick at the period the integral unit integrates over."""
+
+    npid: NpidConfig
+    setpoint: float
     controller: str = "npid"  # "npid" | "baseline"
-    npid: NpidConfig = field(default_factory=experiment_npid_config)
     plant: PlantParams = field(default_factory=PlantParams)
     sensor_quantum: float = 0.01
     sensor_window: int = 1
-    setpoint: float = 1.5
     duration: float = 20.0
-    rate: float = 70.0
     physics_substeps: int = 10
     battery_beta: float = 0.0
     label: str = ""
@@ -86,18 +67,19 @@ class ExperimentConfig:
     def __post_init__(self):
         self.validate()
 
+    @property
+    def ticks(self) -> int:
+        """Control ticks in the run."""
+        return int(round(self.duration / self.npid.dt))
+
     def validate(self) -> None:
         """Raise ValueError, naming the field, for a value no run can use."""
         if self.controller not in ("npid", "baseline"):
             raise ValueError(
                 f"controller must be 'npid' or 'baseline', got {self.controller!r}")
-        for name in ("duration", "rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.npid.dt != 1.0 / self.rate:
-            raise ValueError("npid.dt must equal 1.0 / rate, the one control period; "
-                             f"got npid.dt={self.npid.dt!r} and rate={self.rate!r}")
+        if not (0 < self.duration < math.inf and self.ticks >= 1):
+            raise ValueError("duration must be finite and hold at least one control "
+                             f"tick of npid.dt={self.npid.dt!r}, got {self.duration!r}")
         if (not isinstance(self.physics_substeps, numbers.Integral)
                 or self.physics_substeps < 1):
             raise ValueError("physics_substeps must be an integer >= 1, "
@@ -118,17 +100,29 @@ class ExperimentConfig:
 
 
 def step_experiment(setpoint: float = 1.5, n: int = 151,
-                    distribution: str = "uniform", controller: str = "npid",
-                    decay: float = 0.92, mode: str = "nearest",
-                    quantized: bool = False, duration: float = 20.0,
-                    rate: float = 70.0, label: str = "") -> ExperimentConfig:
-    """Convenience builder for the standard altitude step response, on
-    the experiment_npid_config grid layout."""
-    cfg = experiment_npid_config(n=n, distribution=distribution, decay=decay,
-                                 mode=mode, quantized=quantized, rate=rate)
-    return ExperimentConfig(controller=controller, npid=cfg, setpoint=setpoint,
-                            duration=duration, rate=rate,
-                            label=label or f"{controller}-n{n}-{distribution}")
+                    distribution: str = "uniform", decay: float = 0.92,
+                    mode: str = "nearest", quantized: bool = False,
+                    rate: float = 70.0, **fields) -> ExperimentConfig:
+    """The stock altitude step response at control rate `rate` [Hz];
+    every other ExperimentConfig field passes through.
+
+    On top of the stock controller config this narrows the error grid to
+    +/-2 m (errors past 1.44 m saturate the proportional term anyway, so
+    the finer bins are free) and uses a +/-0.1 quadratic integral grid:
+    the nearest-rounded recurrence only sheds an integral bin when the
+    decay step exceeds half a bin, so fine central bins plus a decay of
+    0.92 let the wound-up integral drain instead of parking the loop off
+    target.  An unlabelled run is labelled controller-nN-distribution.
+    """
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and positive, got {rate!r}")
+    npid = default_config(n=n, distribution=distribution, decay=decay, mode=mode,
+                          quantized=quantized, dt=1.0 / rate,
+                          error_grid=GridSpec(-2.0, 2.0, n, distribution),
+                          integral_grid=GridSpec(-0.1, 0.1, n, "quadratic"))
+    cfg = ExperimentConfig(npid=npid, setpoint=setpoint, **fields)
+    return cfg if cfg.label else replace(
+        cfg, label=f"{cfg.controller}-n{n}-{distribution}")
 
 
 @dataclass
@@ -179,7 +173,7 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     z0 = z[0]
     step = sp - z0
     n = len(z)
-    dt = 1.0 / cfg.rate
+    dt = cfg.npid.dt
 
     # Band: the set-point's measurement bin plus one bin either side.
     sp_bin = encode(meas_grid, sp)
@@ -205,7 +199,7 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
         over = max(0.0, sp - min(z))
     over_pct = 100.0 * over / abs(step) if step != 0 else 0.0
 
-    tail = max(1, int(round(cfg.rate)))
+    tail = max(1, int(round(1.0 / dt)))  # the last second
     sse = abs(sp - sum(z[-tail:]) / len(z[-tail:]))
 
     out_hi = cfg.npid.output_grid.hi
@@ -219,9 +213,9 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
 def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     """Closed loop from rest: sense, control, then integrate the plant
     through the physics sub-steps of one control period in one call."""
-    dt_ctrl = 1.0 / cfg.rate
+    dt_ctrl = cfg.npid.dt
     dt_phys = dt_ctrl / cfg.physics_substeps
-    n_ticks = int(round(cfg.duration * cfg.rate))
+    n_ticks = cfg.ticks
     plant = PlantState()
     sensor = SensorModel(quantum=cfg.sensor_quantum, window=cfg.sensor_window)
     hover = hover_thrust(cfg.plant)
@@ -323,7 +317,8 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     the summed grid values; the oracle never touches the spiking path.
     """
     if n > 1001:
-        raise ValueError("verification enumerates n^2 pairs; n must be <= 1001")
+        raise ValueError("n must be <= 1001, as verification enumerates n^2 "
+                         f"pairs; got {n!r}")
     t0 = time.perf_counter()
     g_in = make_grid(lo, hi, n, distribution)
     g_out = make_grid(2 * lo, 2 * hi, 2 * n - 1, distribution)
@@ -376,6 +371,9 @@ def bench(config: NpidConfig | None = None, ticks: int = 1_000_000,
     target and derivative grids; reports mean throughput over all ticks
     plus per-tick latency percentiles measured on a sample.
     """
+    for name, value in (("ticks", ticks), ("latency_samples", latency_samples)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     cfg = config or default_config(n=15, distribution="quadratic")
     net = build_npid(cfg)
     rng = np.random.default_rng(0)
@@ -445,18 +443,6 @@ def compare(cfgs) -> list[dict]:
         _, metrics = run_step_response(cfg)
         rows.append(_summary_row(cfg, metrics))
     return rows
-
-
-def sweep(setpoints, neuron_counts, distribution_for=None, **kwargs) -> list[dict]:
-    """Cross product of set-points and population sizes.
-
-    distribution_for optionally maps a neuron count to its distribution;
-    counts it leaves out are uniform.
-    """
-    dists = distribution_for or {}
-    return compare([step_experiment(setpoint=sp, n=n,
-                                    distribution=dists.get(n, "uniform"), **kwargs)
-                    for n in neuron_counts for sp in setpoints])
 
 
 def write_summary_csv(rows, path) -> None:

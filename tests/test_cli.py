@@ -183,6 +183,12 @@ def nan_drag_config(tmp_path):
     (["sweep", "--neuron-list", "15,1", "--duration", "1"], "target_grid.n"),
     (["run", "--config", "/nonexistent.json"], "/nonexistent.json"),
     (["run", "--config", "NAN_DRAG"], "plant.drag"),
+    (["run", "--rate", "0"], "rate"),
+    (["run", "--rate", "-5"], "rate"),
+    (["sweep", "--rate", "0"], "rate"),
+    (["run", "--duration", "0.001"], "duration"),
+    (["bench", "--ticks", "0"], "ticks"),
+    (["verify-adder", "--neurons", "1500"], "n must be <= 1001"),
 ])
 def test_bad_value_exits_2_naming_it(capsys, nan_drag_config, argv, name):
     argv = [nan_drag_config if a == "NAN_DRAG" else a for a in argv]

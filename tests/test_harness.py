@@ -1,9 +1,11 @@
 """Experiment harness: runs, metrics, verification, emission."""
 
+import hashlib
 import json
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from spikepid.harness import (
     load_config,
     run_step_response,
     step_experiment,
-    sweep,
     verify_adder,
     write_summary_csv,
 )
@@ -33,6 +34,13 @@ class TestRunStepResponse:
         cfg = step_experiment(setpoint=1.0, duration=2.0)
         trace, _ = run_step_response(cfg)
         assert len(trace) == 140
+
+    def test_rate_sets_the_one_control_period(self):
+        cfg = step_experiment(n=15, rate=35.0, duration=2.0)
+        trace, _ = run_step_response(cfg)
+        assert len(trace) == 70
+        assert trace.t[1] == cfg.npid.dt
+        assert "rate" not in {f.name for f in fields(ExperimentConfig)}
 
     def test_settles_into_band(self):
         cfg = step_experiment(setpoint=1.5, n=151)
@@ -69,8 +77,8 @@ class TestRunStepResponse:
 
     @pytest.mark.parametrize("name,value", [
         ("controller", "pid"),
-        ("duration", 0.0), ("duration", math.inf),
-        ("rate", -70.0), ("rate", math.nan),
+        ("duration", 0.0), ("duration", math.inf), ("duration", 0.001),
+        ("rate", -70.0), ("rate", math.nan), ("rate", 0.0),
         ("physics_substeps", 0), ("physics_substeps", 10.0),
         ("setpoint", math.nan), ("setpoint", math.inf),
         ("sensor_quantum", 0.0), ("sensor_quantum", math.nan),
@@ -78,20 +86,15 @@ class TestRunStepResponse:
         ("battery_beta", -0.01), ("battery_beta", math.nan),
     ])
     def test_config_rejected_at_construction_by_field(self, name, value):
+        if name == "rate":  # step_experiment's argument, not a field
+            with pytest.raises(ValueError, match=name):
+                step_experiment(n=15, rate=value)
+            return
+        stock = step_experiment(n=15)
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig(**{name: value})
+            ExperimentConfig(**{"npid": stock.npid, "setpoint": 1.5, name: value})
         with pytest.raises(ValueError, match=name):
-            replace(step_experiment(n=15), **{name: value})
-
-    @pytest.mark.parametrize("make", [
-        lambda: replace(step_experiment(n=63, duration=5), rate=35.0),
-        lambda: ExperimentConfig(rate=100.0),
-    ], ids=["replaced-rate", "constructed-rate"])
-    def test_control_period_has_one_source(self, make):
-        # The plant ticks at rate and the integral unit integrates over
-        # npid.dt; a config where they disagree flies neither.
-        with pytest.raises(ValueError, match=r"npid\.dt.*rate"):
-            make()
+            replace(stock, **{name: value})
 
     def test_battery_sag_pulls_altitude_down(self):
         from dataclasses import replace
@@ -113,6 +116,33 @@ class TestRunStepResponse:
         t1, _ = run_step_response(replace(cfg, physics_substeps=10))
         t2, _ = run_step_response(replace(cfg, physics_substeps=20))
         assert abs(t1.z[-1] - t2.z[-1]) < 1e-3
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_closed_loop.json"
+
+
+class TestGoldenTraces:
+    """A sample of the benchmark's recorded trace digests: every
+    closed_loop config at the lattice's ends and middle.  A change that
+    moves one bin, or one float of the CSV, changes a digest."""
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        return json.loads(GOLDEN.read_text())["digests"]
+
+    @pytest.mark.parametrize("n", [151, 63, 15])
+    @pytest.mark.parametrize("distribution", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_trace_csv_matches_recorded_digest(self, tmp_path, digests, n,
+                                               distribution, quantized):
+        kind = "quantized" if quantized else "float"
+        path = tmp_path / "trace.csv"
+        for sp in (0.5, 1.5, 3.5):
+            trace, _ = run_step_response(step_experiment(
+                setpoint=sp, n=n, distribution=distribution, quantized=quantized))
+            trace.write_csv(path)
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == digests[f"n{n}/{distribution}/{kind}/{sp:.1f}"]), sp
 
 
 class TestVerifyAdder:
@@ -162,21 +192,6 @@ class TestBench:
 
 
 class TestBatch:
-    def test_sweep_row_count(self):
-        rows = sweep([1.0, 2.0], [15, 63], duration=2.0)
-        assert len(rows) == 4
-        assert {r["n"] for r in rows} == {15, 63}
-
-    def test_sweep_distribution_map_defaults_to_uniform(self):
-        rows = sweep([1.0], [15, 31], distribution_for={15: "quadratic"},
-                     duration=1.0)
-        assert [(r["n"], r["distribution"]) for r in rows] == [
-            (15, "quadratic"), (31, "uniform")]
-
-    def test_empty_sweep(self):
-        assert sweep([], [151]) == []
-        assert sweep([1.0], []) == []
-
     def test_compare_produces_one_row_per_config(self):
         cfgs = [step_experiment(setpoint=2.0, duration=2.0),
                 step_experiment(setpoint=2.0, controller="baseline",
@@ -185,7 +200,7 @@ class TestBatch:
         assert [r["controller"] for r in rows] == ["npid", "baseline"]
 
     def test_summary_csv(self, tmp_path):
-        rows = sweep([1.0], [15], duration=2.0)
+        rows = compare([step_experiment(setpoint=1.0, n=15, duration=2.0)])
         p = tmp_path / "summary.csv"
         write_summary_csv(rows, p)
         lines = p.read_text().splitlines()
@@ -255,7 +270,7 @@ class TestConfigFile:
         cfg = load_config(p)
         assert cfg.npid.gains.kp == 0.87
         assert cfg.npid.target_grid.hi == 4.0
-        assert cfg.rate == 70.0
+        assert cfg.npid.dt == 1.0 / 70.0
         cfg.validate()
 
     def test_plant_keys_are_the_plant_params_fields(self, tmp_path):
