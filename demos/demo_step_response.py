@@ -6,7 +6,7 @@ Writes trace CSVs and an overlay SVG into ./out/.
 
 import os
 
-from spikepid import emit, run_step_response, step_experiment
+from spikepid import run_step_response, step_experiment
 from spikepid.harness import write_svg
 
 os.makedirs("out", exist_ok=True)
@@ -24,7 +24,7 @@ for label, cfg in runs:
     trace, m = run_step_response(cfg)
     series.append((label, trace.t, trace.z))
     slug = label.split()[0].lower().replace("=", "")
-    emit(trace, "csv", f"out/step_{slug}.csv")
+    trace.write_csv(f"out/step_{slug}.csv")
     print(f"{label:15s} rise {m.rise_time:5.2f} s | overshoot "
           f"{m.overshoot_pct:5.1f} % | settles {m.settling_time:5.2f} s | "
           f"steady error {m.steady_state_error * 100:5.2f} cm")

@@ -10,7 +10,6 @@ from .controller import build_npid, default_config
 from .grids import encode, make_grid
 from .harness import (
     compare,
-    emit,
     run_step_response,
     step_experiment,
     verify_adder,
@@ -30,7 +29,6 @@ __all__ = [
     "choose_scale",
     "compare",
     "default_config",
-    "emit",
     "encode",
     "eval_unit",
     "make_grid",

@@ -6,16 +6,15 @@ path: --config, or else step_experiment on the step flags given (a flag
 left out keeps its default there).  So bench times and export-netlist
 writes the controller that run flies.  Each verb takes only the flags it
 reads; any other flag, or a step flag given with --config, exits 2.
-A bad flag value or config value exits 2 with the verb's usage line and
-a message that names it.  Exit status is 1 when a verification reports
-a mismatch.
+A bad flag value, config value or --out path exits 2 with the verb's
+usage line and a message that names it.  Exit status is 1 when a
+verification reports a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from .controller import build_npid
@@ -23,12 +22,12 @@ from .harness import (
     ExperimentConfig,
     bench,
     compare,
-    emit,
     load_config,
     run_step_response,
     step_experiment,
     verify_adder,
     write_summary_csv,
+    write_svg,
 )
 
 # The flags that set a step_experiment argument: flag -> (argument,
@@ -66,25 +65,13 @@ def _step_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in names}
 
 
-@contextmanager
-def _bad_value_exits_2(args):
-    """Turn the ValueError or OSError that names a bad value into exit 2
-    with the verb's usage line."""
-    try:
-        yield
-    except (ValueError, OSError) as e:
-        args.parser.error(str(e))
-
-
 def _experiment_from_args(args, **override) -> ExperimentConfig:
     """The run the flags describe; main has rejected step flags given
-    with --config, so only --controller can override the file.  A bad
-    value or config file exits 2 naming it."""
+    with --config, so only --controller can override the file."""
     kwargs = _step_args(args) | override
-    with _bad_value_exits_2(args):
-        if getattr(args, "config", None):
-            return replace(load_config(args.config), **kwargs)
-        return step_experiment(**kwargs)
+    if getattr(args, "config", None):
+        return replace(load_config(args.config), **kwargs)
+    return step_experiment(**kwargs)
 
 
 def cmd_run(args) -> int:
@@ -100,10 +87,11 @@ def cmd_run(args) -> int:
     print(f"  steady-state err : {metrics.steady_state_error:.4f} m")
     print(f"  saturation       : {metrics.saturation_fraction:.3f}")
     if args.out:
-        emit(trace, "csv", args.out + ".csv")
+        trace.write_csv(args.out + ".csv")
         band = (cfg.npid.target_grid.hi - cfg.npid.target_grid.lo) / (
             cfg.npid.target_grid.n - 1)
-        emit(trace, "svg", args.out + ".svg", setpoint=cfg.setpoint, band=band)
+        write_svg([("altitude", trace.t, trace.z)], args.out + ".svg",
+                  setpoint=cfg.setpoint, band=band)
         print(f"wrote {args.out}.csv and {args.out}.svg")
     return 0
 
@@ -140,9 +128,8 @@ def cmd_verify_adder(args) -> int:
     cfg = _experiment_from_args(args).npid
     failures = 0
     for quantized in (False, True):
-        with _bad_value_exits_2(args):  # n past verify_adder's limit
-            rep = verify_adder(cfg.output_grid.n, mode=cfg.mode, quantized=quantized,
-                               distribution=cfg.output_grid.distribution)
+        rep = verify_adder(cfg.output_grid.n, mode=cfg.mode, quantized=quantized,
+                           distribution=cfg.output_grid.distribution)
         print(rep.summary())
         if not rep.ok:
             failures += 1
@@ -152,9 +139,7 @@ def cmd_verify_adder(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _experiment_from_args(args).npid
-    with _bad_value_exits_2(args):
-        rep = bench(cfg, ticks=args.ticks)
+    rep = bench(_experiment_from_args(args).npid, ticks=args.ticks)
     print(rep.summary())
     return 0
 
@@ -215,7 +200,12 @@ def main(argv=None) -> int:
         for flag, (dest, _) in STEP_FLAGS.items():
             if dest in args:
                 args.parser.error(f"argument {flag}: not allowed with --config")
-    return args.fn(args)
+    # The one exit-2 path for a bad value: the ValueError or OSError that
+    # names a flag, config value or path, wherever the verb meets it.
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as e:
+        args.parser.error(str(e))
 
 
 if __name__ == "__main__":

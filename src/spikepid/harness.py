@@ -41,7 +41,6 @@ __all__ = [
     "BenchReport",
     "bench",
     "compare",
-    "emit",
     "load_config",
 ]
 
@@ -77,9 +76,13 @@ class ExperimentConfig:
         if self.controller not in ("npid", "baseline"):
             raise ValueError(
                 f"controller must be 'npid' or 'baseline', got {self.controller!r}")
-        if not (0 < self.duration < math.inf and self.ticks >= 1):
-            raise ValueError("duration must be finite and hold at least one control "
-                             f"tick of npid.dt={self.npid.dt!r}, got {self.duration!r}")
+        # A finite duration over a tiny npid.dt can still be inf ticks,
+        # which ticks cannot round.
+        if not (0 < self.duration < math.inf
+                and self.duration / self.npid.dt < math.inf and self.ticks >= 1):
+            raise ValueError("duration must be finite and hold at least one, and "
+                             f"finitely many, control ticks of npid.dt={self.npid.dt!r}, "
+                             f"got {self.duration!r}")
         if (not isinstance(self.physics_substeps, numbers.Integral)
                 or self.physics_substeps < 1):
             raise ValueError("physics_substeps must be an integer >= 1, "
@@ -451,19 +454,6 @@ def write_summary_csv(rows, path) -> None:
 
 
 # -- artifact emission ----------------------------------------------------------
-
-
-def emit(trace: TraceRecord, fmt: str, path, setpoint: float | None = None,
-         band: float = 0.0) -> None:
-    """Write a trace as CSV or as a simple SVG altitude plot with the
-    set-point band shaded."""
-    if fmt == "csv":
-        trace.write_csv(path)
-    elif fmt == "svg":
-        sp = setpoint if setpoint is not None else (trace.target[0] if trace.target else 0.0)
-        write_svg([("altitude", trace.t, trace.z)], path, setpoint=sp, band=band)
-    else:
-        raise ValueError(f"unknown emit format {fmt!r}")
 
 
 def write_svg(series, path, setpoint: float | None = None, band: float = 0.0) -> None:

@@ -169,10 +169,15 @@ def test_export_netlist_is_the_controller_run_flies(tmp_path, capsys):
 
 
 @pytest.fixture
-def nan_drag_config(tmp_path):
-    p = tmp_path / "nan_drag.json"
-    p.write_text('{"plant": {"drag": NaN}}')  # Python's json reads NaN
-    return str(p)
+def placeholders(tmp_path):
+    """Paths the bad-value cases name: two bad config files and a
+    directory that does not exist."""
+    nan_drag = tmp_path / "nan_drag.json"
+    nan_drag.write_text('{"plant": {"drag": NaN}}')  # Python's json reads NaN
+    no_zero = tmp_path / "no_zero.json"
+    no_zero.write_text('{"grids": {"error": {"range": [0.5, 2.0]}}}')
+    return {"NAN_DRAG": str(nan_drag), "NO_ZERO": str(no_zero),
+            "NO_DIR": str(tmp_path / "missing")}
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -189,12 +194,33 @@ def nan_drag_config(tmp_path):
     (["run", "--duration", "0.001"], "duration"),
     (["bench", "--ticks", "0"], "ticks"),
     (["verify-adder", "--neurons", "1500"], "n must be <= 1001"),
+    # A grid without 0 fails when the network is built, not when the
+    # config is.
+    (["run", "--neurons", "16"], "error_grid"),
+    (["compare", "--neurons", "16"], "error_grid"),
+    (["export-netlist", "--neurons", "16", "--out", "NO_DIR/net.json"], "error_grid"),
+    (["sweep", "--neuron-list", "16"], "error_grid"),
+    (["run", "--config", "NO_ZERO"], "error_grid"),
+    (["run", "--neurons", "15", "--duration", "1", "--out", "NO_DIR/run"], "NO_DIR"),
+    (["compare", "--neurons", "15", "--duration", "1", "--out", "NO_DIR/c.csv"],
+     "NO_DIR"),
+    (["export-netlist", "--neurons", "15", "--out", "NO_DIR/net.json"], "NO_DIR"),
+    (["run", "--rate", "1e308"], "duration"),
+    (["sweep", "--rate", "1e308"], "duration"),
 ])
-def test_bad_value_exits_2_naming_it(capsys, nan_drag_config, argv, name):
-    argv = [nan_drag_config if a == "NAN_DRAG" else a for a in argv]
+def test_bad_value_exits_2_naming_it(capsys, placeholders, argv, name):
+    for key, value in placeholders.items():
+        argv = [a.replace(key, value) for a in argv]
+        name = name.replace(key, value)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: spikepid {argv[0]} ")
     assert name in err.splitlines()[-1]
+
+
+def test_grid_without_zero_is_fine_where_no_network_is_built(capsys):
+    assert main(["verify-adder", "--neurons", "16"]) == 0
+    assert main(["run", "--controller", "baseline", "--neurons", "16",
+                 "--duration", "1"]) == 0

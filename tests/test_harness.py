@@ -13,12 +13,12 @@ from spikepid.harness import (
     ExperimentConfig,
     bench,
     compare,
-    emit,
     load_config,
     run_step_response,
     step_experiment,
     verify_adder,
     write_summary_csv,
+    write_svg,
 )
 from spikepid.plant import PlantParams
 
@@ -78,6 +78,7 @@ class TestRunStepResponse:
     @pytest.mark.parametrize("name,value", [
         ("controller", "pid"),
         ("duration", 0.0), ("duration", math.inf), ("duration", 0.001),
+        ("duration", 1e308),  # finite, but 1e308 s x 70 Hz ticks is inf
         ("rate", -70.0), ("rate", math.nan), ("rate", 0.0),
         ("physics_substeps", 0), ("physics_substeps", 10.0),
         ("setpoint", math.nan), ("setpoint", math.inf),
@@ -213,7 +214,7 @@ class TestEmit:
         cfg = step_experiment(setpoint=1.0, duration=2.0)
         trace, _ = run_step_response(cfg)
         p = tmp_path / "trace.csv"
-        emit(trace, "csv", p)
+        trace.write_csv(p)
         lines = p.read_text().splitlines()
         assert lines[0] == ("t,z,vz,z_meas,target,error_bin,integral_bin,"
                             "deriv_bin,u_bin,u_newton,thrust_total")
@@ -223,23 +224,18 @@ class TestEmit:
         cfg = step_experiment(setpoint=1.0, duration=2.0)
         trace, _ = run_step_response(cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(trace, "csv", p1)
-        emit(trace, "csv", p2)
+        trace.write_csv(p1)
+        trace.write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_svg_contains_polyline_and_band(self, tmp_path):
         cfg = step_experiment(setpoint=1.0, duration=2.0)
         trace, _ = run_step_response(cfg)
         p = tmp_path / "plot.svg"
-        emit(trace, "svg", p, setpoint=1.0, band=0.05)
+        write_svg([("altitude", trace.t, trace.z)], p, setpoint=1.0, band=0.05)
         text = p.read_text()
         assert text.count("<polyline") == 1
         assert "<rect" in text
-
-    def test_unknown_format(self, tmp_path):
-        trace, _ = run_step_response(step_experiment(duration=1.0))
-        with pytest.raises(ValueError):
-            emit(trace, "pdf", tmp_path / "x.pdf")
 
 
 class TestConfigFile:

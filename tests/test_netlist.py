@@ -17,12 +17,15 @@ from spikepid.reference import round_to_grid
 from spikepid.units import LAYER_INPUT, build_adder, eval_unit, one_hot
 
 
+AB_WIRING = [[("input", "a", 0), ("input", "b", 0)]]  # one unit adding a and b
+
+
 def fig2_setup(quantized=False):
     g_in = make_grid(-1, 1, 3)
     g_out = make_grid(-2, 2, 5)
     unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
                        mode="floor", quantized=quantized, name="adder")
-    nl = export_netlist([unit], {"a": g_in, "b": g_in})
+    nl = export_netlist([unit], {"a": g_in, "b": g_in}, AB_WIRING)
     return unit, nl
 
 
@@ -338,7 +341,7 @@ class TestGraphRuntime:
         unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
                            quantized=quantized, name="check")
         path = tmp_path / "adder.json"
-        export_netlist([unit], {"a": g_in, "b": g_in}).save(path)
+        export_netlist([unit], {"a": g_in, "b": g_in}, AB_WIRING).save(path)
         rt = NetlistRuntime(Netlist.load(path))
         got = np.array([[rt.step({"a": i, "b": j})["check"] for j in range(63)]
                         for i in range(63)])
@@ -462,38 +465,56 @@ def with_synapses(nl, *rows, first=False):
     return Netlist(nl.neurons, Synapses(*cols), nl.meta)
 
 
-class TestRowOrder:
-    """The runtime orders each level's rows so that every neuron sums its
-    in-edges in file order, and rejects a level where no order can."""
+def conflicting_orders(k, weight):
+    """Neuron n_j takes p_j before p_(j+1) mod k: each pair of sources is
+    ordered one way by one neuron, and the cycle closes at the last."""
+    ids = [f"p{i}[{b}]" for i in range(k) for b in (0, 1)] + [f"n{j}" for j in range(k)]
+    neurons = Neurons(ids, ["input"] * 2 * k + ["reduce"] * k, [0] * 3 * k)
+    edges = [(2 * ((j + e) % k) + 1, 2 * k + j, weight, 0) for j in range(k) for e in (0, 1)]
+    return Netlist(neurons, Synapses(*map(list, zip(*edges))),
+                   {"unit_outputs": {"u": {"n": k}}})
 
-    def test_topological_order_keeps_file_order(self):
-        """A neuron earlier in the file takes p1 before p2, so the order in
-        which the sources first appear (p1, p2, p0) misses the unit's p0,
-        p1, p2; the sorted pairs still give every sum in file order."""
+
+class TestRowOrder:
+    """Each level's rows come in the order its sources first appear in the
+    file.  A neuron whose in-edges come in another order is accepted only
+    on a level whose sums are exact integers; else the level is rejected."""
+
+    def test_out_of_order_sum_past_2_53_rejected(self):
+        """A neuron earlier in the file takes p1 before p2, so the rows
+        (p1, p2, p0) miss the unit's p0, p1, p2.  The weights are integers,
+        but 1e16 x 3 in-edges passes 2**53, so a sum in another order can
+        round: the level is rejected naming the first such neuron."""
         weights = (1e16, 1.0, -1e16)
         nl = summing_netlist([0, 1, 2], weights, relay=False)
         decoy = len(nl.neurons)
         nl = Netlist(Neurons(nl.neurons.id + ["decoy"], nl.neurons.layer + ["aggregate-pos"],
                              nl.neurons.threshold + [0]), nl.synapses, nl.meta)
         nl = with_synapses(nl, (3, decoy, 1.0, 0), (5, decoy, 1.0, 0), first=True)
-        rt = NetlistRuntime(nl)
-        for active in itertools.product((0, 1), repeat=3):
-            s = file_order_sum(w for w, a in zip(weights, active) if a)
-            assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {"u": int(s >= 0.5)}
+        with pytest.raises(ValueError, match=r"neuron 'u\.reduce\[0\]' takes its "
+                                             "in-edges in another order"):
+            NetlistRuntime(nl)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conflicting_source_orders_with_integer_weights_build(self, k):
+        """Weight 1.0: every partial sum is an exact integer, so any row
+        order gives the file-order sum and the level is accepted."""
+        NetlistRuntime(conflicting_orders(k, 1.0))
+
+    def test_integer_sums_exact_up_to_2_53(self):
+        """Two in-edges of 2**52 sum to 2**53 at most, still exact; one
+        more unit past it and the level is rejected."""
+        NetlistRuntime(conflicting_orders(2, 2.0 ** 52))
+        with pytest.raises(ValueError, match=r"max\|w\| x in-degree > 2\*\*53"):
+            NetlistRuntime(conflicting_orders(2, 2.0 ** 52 + 1))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_conflicting_source_orders_rejected(self, k):
-        """Neuron j takes p_j before p_(j+1) mod k: each pair of sources
-        is ordered one way by one neuron, the cycle closes at the last."""
-        ids = [f"p{i}[{b}]" for i in range(k) for b in (0, 1)] + [f"n{j}" for j in range(k)]
-        neurons = Neurons(ids, ["input"] * 2 * k + ["reduce"] * k, [0] * 3 * k)
-        edges = [(2 * ((j + e) % k) + 1, 2 * k + j, 1.0, 0) for j in range(k) for e in (0, 1)]
-        nl = Netlist(neurons, Synapses(*map(list, zip(*edges))),
-                     {"unit_outputs": {"u": {"n": k}}})
-        names = ", ".join(f"'n{j}'" for j in range(k))
-        with pytest.raises(ValueError, match=f"neurons {names} take their inputs "
-                                             "in conflicting orders"):
-            NetlistRuntime(nl)
+        """With weight 0.5 the sums are not integers, so the last neuron,
+        whose in-edges run against the rows, is rejected by name."""
+        with pytest.raises(ValueError, match=f"neuron 'n{k - 1}' takes its in-edges "
+                                             "in another order"):
+            NetlistRuntime(conflicting_orders(k, 0.5))
 
     def test_source_feeding_a_neuron_twice_rejected(self):
         _, nl = fig2_setup()
