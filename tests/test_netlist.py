@@ -184,6 +184,49 @@ class TestFilePin:
         assert h.hexdigest() == NETLIST_PIN_SHA256
 
 
+NETLIST_CONTENT_SHA256 = (
+    "e810063d9e37ca0316b593d06c1e0701f9a8ba9a7d9a1c0338a46beecbca8e22")
+
+
+def hash_columns(h, table) -> None:
+    """Each column of a netlist table by name, kind and values, read
+    through row iteration (Python scalars): strings as UTF-8, an "int"
+    column (every value an int) as int64 bytes, else "float" as float64."""
+    rows = list(table)
+    for name, values in zip(table.Row._fields, zip(*rows) if rows else
+                            [()] * len(table.Row._fields)):
+        if all(isinstance(v, str) for v in values):
+            kind, data = "str", "\n".join(values).encode()
+        elif all(isinstance(v, int) for v in values):
+            kind, data = "int", np.array(values, dtype=np.int64).tobytes()
+        else:
+            kind, data = "float", np.array(values, dtype=np.float64).tobytes()
+        h.update(f"{name}:{kind}:{len(values)}\n".encode())
+        h.update(data)
+
+
+class TestContentPin:
+    def test_columns_match_pinned_digest_through_the_file(self, tmp_path):
+        """One SHA-256 over every column's name, kind and values for
+        TestFilePin's 8 configs, as exported and as loaded back: it is
+        independent of the file format."""
+        path = tmp_path / "net"
+        digests = []
+        for load in (False, True):
+            h = hashlib.sha256()
+            for n, dist, quantized in itertools.product(
+                    (151, 15), ("uniform", "quadratic"), (False, True)):
+                nl = build_npid(default_config(n=n, distribution=dist,
+                                               quantized=quantized)).export_netlist()
+                if load:
+                    nl.save(path)
+                    nl = Netlist.load(path)
+                hash_columns(h, nl.neurons)
+                hash_columns(h, nl.synapses)
+            digests.append(h.hexdigest())
+        assert digests == [NETLIST_CONTENT_SHA256] * 2
+
+
 def file_order_sum(weights):
     """Left to right from 0.0, as the units and the file order add."""
     s = 0.0
