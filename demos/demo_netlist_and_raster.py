@@ -12,12 +12,12 @@ cfg = default_config(n=15, distribution="quadratic", decay=0.9, quantized=True)
 net = build_npid(cfg)
 unit_neurons, input_neurons = net.neuron_count()
 netlist = net.export_netlist()
-netlist.save("out/npid_netlist.json")
-print(f"exported out/npid_netlist.json: {unit_neurons} unit neurons "
+netlist.save("out/npid_netlist.npz")
+print(f"exported out/npid_netlist.npz: {unit_neurons} unit neurons "
       f"(6N+3), {input_neurons} input neurons, {len(netlist.synapses)} synapses")
 
 # Replay the serialized graph and confirm it matches the live network.
-runtime = NetlistRuntime(Netlist.load("out/npid_netlist.json"))
+runtime = NetlistRuntime(Netlist.load("out/npid_netlist.npz"))
 net.record_raster(True)  # bins + full raster
 tm, dg = net.grids.target_measurement, net.grids.derivative
 

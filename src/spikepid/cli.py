@@ -7,13 +7,15 @@ left out keeps its default there).  So bench times and export-netlist
 writes the controller that run flies.  Each verb takes only the flags it
 reads; any other flag, or a step flag given with --config, exits 2.
 A bad flag value, config value or --out path exits 2 with the verb's
-usage line and a message that names it.  Exit status is 1 when a
+usage line and a message that names it; an --out in a missing directory
+does so before anything is built or run.  Exit status is 1 when a
 verification reports a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -192,14 +194,17 @@ def main(argv=None) -> int:
     p = verb("bench", cmd_bench, "controller tick throughput", CONTROLLER, out=False)
     p.add_argument("--ticks", type=int, default=1_000_000)
 
-    p = verb("export-netlist", cmd_export_netlist, "write the netlist JSON", CONTROLLER)
-    p.set_defaults(out="netlist.json")
+    p = verb("export-netlist", cmd_export_netlist, "write the netlist file", CONTROLLER)
+    p.set_defaults(out="netlist.npz")
 
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         for flag, (dest, _) in STEP_FLAGS.items():
             if dest in args:
                 args.parser.error(f"argument {flag}: not allowed with --config")
+    out_dir = os.path.dirname(getattr(args, "out", None) or "")
+    if out_dir and not os.path.isdir(out_dir):
+        args.parser.error(f"argument --out: no directory {out_dir}")
     # The one exit-2 path for a bad value: the ValueError or OSError that
     # names a flag, config value or path, wherever the verb meets it.
     try:

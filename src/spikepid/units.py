@@ -266,42 +266,43 @@ class AdderUnit:
 
     # -- netlist pieces ----------------------------------------------------
 
-    def neuron_columns(self) -> tuple[list, list, list]:
-        """(id, layer, threshold) of this unit's neurons in file order:
-        aggregate-pos, aggregate-neg, then reduce."""
-        ids = ([f"{self.name}.agg_pos[{k}]" for k in range(self.pos_count)]
-               + [f"{self.name}.agg_neg[{k}]" for k in range(self.neg_count)]
-               + [f"{self.name}.reduce[{r}]" for r in range(self.n_out)])
-        layers = ([LAYER_AGG_POS] * self.pos_count + [LAYER_AGG_NEG] * self.neg_count
-                  + [LAYER_REDUCE] * self.n_out)
-        return ids, layers, [*self.thr_pos, *self.thr_neg] + [REDUCE_THRESHOLD] * self.n_out
+    def neuron_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(id, layer, threshold) arrays of this unit's neurons in file
+        order: aggregate-pos, aggregate-neg, then reduce."""
+        counts = (self.pos_count, self.neg_count, self.n_out)
+        ids = np.array([f"{self.name}.{kind}[{k}]" for kind, count in
+                        zip(("agg_pos", "agg_neg", "reduce"), counts)
+                        for k in range(count)])
+        layers = np.repeat([LAYER_AGG_POS, LAYER_AGG_NEG, LAYER_REDUCE], counts)
+        return ids, layers, np.array([*self.thr_pos, *self.thr_neg]
+                                     + [REDUCE_THRESHOLD] * self.n_out)
 
-    def synapse_columns(self, first, sources, delays) -> tuple[list, list, list, list]:
-        """(src, dst, weight, delay) of this unit's synapses in file order,
-        as neuron indices.  first is the index of this unit's first neuron;
-        sources[p][i] is the neuron index of bin i of input population p,
-        and delays[p] the tick delay of that population's edges.  Each
-        input neuron drives every aggregate neuron (pos, then neg); each
-        reduce neuron then gets its excitatory, then inhibitory, sources."""
+    def synapse_columns(self, first, sources, delays) -> tuple[np.ndarray, ...]:
+        """(src, dst, weight, delay) arrays of this unit's synapses in file
+        order: int32 neuron indices, float64 weights (int16 when
+        quantized) and int8 delays.  first is the index of this unit's
+        first neuron; sources[p][i] is the neuron index of bin i of input
+        population p, and delays[p] the tick delay of that population's
+        edges.  Each input neuron drives every aggregate neuron (pos, then
+        neg); each reduce neuron then gets its excitatory, then
+        inhibitory, sources."""
         agg = self.pos_count + self.neg_count
         targets = np.arange(first, first + agg)
         sign = np.repeat([1, -1], [self.pos_count, self.neg_count])  # exact negation
-        src, dst, weight, delay = [], [], [], []
-        for w, s, d in zip(self._weight_arrs, sources, delays):
-            src += np.repeat(s, agg).tolist()
-            dst += np.tile(targets, len(s)).tolist()
-            weight += np.outer(w, sign).ravel().tolist()
-            delay += [d] * (len(s) * agg)
+        parts = [(np.repeat(s, agg), np.tile(targets, len(s)), np.outer(w, sign).ravel(),
+                  np.full(len(s) * agg, d))
+                 for w, s, d in zip(self._weight_arrs, sources, delays)]
         # One row per reduce neuron: exc1, exc2, inh1, inh2 (-1: no synapse).
         wiring = np.stack([self._exc1, self._exc2, self._inh1, self._inh2], axis=1)
         wired = wiring >= 0
-        src += (first + wiring[wired]).tolist()
-        dst += np.repeat(np.arange(first + agg, first + agg + self.n_out),
-                         wired.sum(axis=1)).tolist()
-        weight += np.broadcast_to([REDUCE_EXC, REDUCE_EXC, REDUCE_INH, REDUCE_INH],
-                                  wiring.shape)[wired].tolist()
-        delay += [0] * int(wired.sum())
-        return src, dst, weight, delay
+        parts.append((first + wiring[wired],
+                      np.repeat(np.arange(first + agg, first + agg + self.n_out),
+                                wired.sum(axis=1)),
+                      np.broadcast_to([REDUCE_EXC, REDUCE_EXC, REDUCE_INH, REDUCE_INH],
+                                      wiring.shape)[wired],
+                      np.zeros(wired.sum(), dtype=int)))
+        types = np.int32, np.int32, np.int16 if self.quantized else np.float64, np.int8
+        return tuple(np.concatenate(col, dtype=t) for col, t in zip(zip(*parts), types))
 
 
 def _aggregate_thresholds(output: ValueGrid, mode: str):

@@ -77,14 +77,14 @@ def test_bench(capsys):
 
 
 def test_export_netlist(tmp_path, capsys):
-    out = tmp_path / "net.json"
+    out = tmp_path / "net.npz"
     rc = main(["export-netlist", "--neurons", "15", "--quantized", "true",
                "--out", str(out)])
     assert rc == 0
-    d = json.loads(out.read_text())
-    unit_neurons = [layer for layer in d["neurons"]["layer"] if layer != "input"]
+    nl = Netlist.load(out)
+    unit_neurons = [layer for layer in nl.neurons.layer if layer != "input"]
     assert len(unit_neurons) == 93
-    assert all(w % 2 == 0 for w in d["synapses"]["weight"])
+    assert all(w % 2 == 0 for w in nl.synapses.weight)
 
 
 def test_config_file_drives_run(tmp_path, capsys):
@@ -153,7 +153,7 @@ def test_bench_reads_config(capsys, n15_config):
 
 
 def test_export_netlist_reads_config(tmp_path, capsys, n15_config):
-    out = tmp_path / "net.json"
+    out = tmp_path / "net.npz"
     rc = main(["export-netlist", "--config", n15_config, "--out", str(out)])
     assert rc == 0
     assert "93 unit neurons" in capsys.readouterr().out
@@ -162,22 +162,22 @@ def test_export_netlist_reads_config(tmp_path, capsys, n15_config):
 
 
 def test_export_netlist_is_the_controller_run_flies(tmp_path, capsys):
-    out = tmp_path / "net.json"
+    out = tmp_path / "net.npz"
     assert main(["export-netlist", "--neurons", "15", "--out", str(out)]) == 0
     flown = build_npid(step_experiment(n=15).npid).export_netlist()
-    assert Netlist.load(out).to_dict() == flown.to_dict()
+    assert Netlist.load(out) == flown
 
 
 @pytest.fixture
 def placeholders(tmp_path):
-    """Paths the bad-value cases name: two bad config files and a
-    directory that does not exist."""
+    """Paths the bad-value cases name: two bad config files, a directory
+    that does not exist and one that does."""
     nan_drag = tmp_path / "nan_drag.json"
     nan_drag.write_text('{"plant": {"drag": NaN}}')  # Python's json reads NaN
     no_zero = tmp_path / "no_zero.json"
     no_zero.write_text('{"grids": {"error": {"range": [0.5, 2.0]}}}')
     return {"NAN_DRAG": str(nan_drag), "NO_ZERO": str(no_zero),
-            "NO_DIR": str(tmp_path / "missing")}
+            "NO_DIR": str(tmp_path / "missing"), "TMP_DIR": str(tmp_path)}
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -198,13 +198,13 @@ def placeholders(tmp_path):
     # config is.
     (["run", "--neurons", "16"], "error_grid"),
     (["compare", "--neurons", "16"], "error_grid"),
-    (["export-netlist", "--neurons", "16", "--out", "NO_DIR/net.json"], "error_grid"),
+    (["export-netlist", "--neurons", "16", "--out", "TMP_DIR/net.npz"], "error_grid"),
     (["sweep", "--neuron-list", "16"], "error_grid"),
     (["run", "--config", "NO_ZERO"], "error_grid"),
     (["run", "--neurons", "15", "--duration", "1", "--out", "NO_DIR/run"], "NO_DIR"),
     (["compare", "--neurons", "15", "--duration", "1", "--out", "NO_DIR/c.csv"],
      "NO_DIR"),
-    (["export-netlist", "--neurons", "15", "--out", "NO_DIR/net.json"], "NO_DIR"),
+    (["export-netlist", "--neurons", "15", "--out", "NO_DIR/net.npz"], "NO_DIR"),
     (["run", "--rate", "1e308"], "duration"),
     (["sweep", "--rate", "1e308"], "duration"),
 ])
@@ -218,6 +218,26 @@ def test_bad_value_exits_2_naming_it(capsys, placeholders, argv, name):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: spikepid {argv[0]} ")
     assert name in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--neurons", "15", "--out", "NO_DIR/run"],
+    ["compare", "--out", "NO_DIR/c.csv"],
+    ["sweep", "--out", "NO_DIR/s.csv"],
+    ["export-netlist", "--out", "NO_DIR/net.npz"],
+])
+def test_missing_out_directory_exits_2_before_any_run(capsys, monkeypatch,
+                                                      placeholders, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in ("run_step_response", "compare", "build_npid"):
+        monkeypatch.setattr(f"spikepid.cli.{name}", must_not_run)
+    argv = [a.replace("NO_DIR", placeholders["NO_DIR"]) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert placeholders["NO_DIR"] in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_grid_without_zero_is_fine_where_no_network_is_built(capsys):

@@ -13,7 +13,7 @@ DEMOS = ROOT / "demos"
 # Files each demo writes under out/, relative to its working directory.
 OUTPUTS = {
     "demo_baseline_comparison.py": ["baseline_comparison.svg"],
-    "demo_netlist_and_raster.py": ["npid_netlist.json", "npid_trace.csv",
+    "demo_netlist_and_raster.py": ["npid_netlist.npz", "npid_trace.csv",
                                    "npid_raster.csv"],
     "demo_precision_sweep.py": ["precision_sweep.csv"],
     "demo_quantization.py": [],

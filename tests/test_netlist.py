@@ -66,17 +66,26 @@ class TestExport:
 
     def test_dangling_endpoint_rejected(self):
         _, nl = fig2_setup()
-        for col, value in zip(vars(nl.synapses).values(), (len(nl.neurons), 0, 2, 0)):
-            col.append(value)  # a source one past the last neuron
-        with pytest.raises(ValueError):
+        for name, value in zip(Synapses.Row._fields, (len(nl.neurons), 0, 2, 0)):
+            # a source one past the last neuron
+            setattr(nl.synapses, name, np.append(getattr(nl.synapses, name), value))
+        with pytest.raises(ValueError, match="synapses.src"):
             nl.validate()
 
     def test_duplicate_ids_rejected(self):
         _, nl = fig2_setup()
-        for col in vars(nl.neurons).values():
-            col.append(col[0])
-        with pytest.raises(ValueError):
+        for name, col in vars(nl.neurons).items():
+            setattr(nl.neurons, name, np.append(col, col[0]))
+        with pytest.raises(ValueError, match="neurons.id"):
             nl.validate()
+
+    def test_columns_are_typed(self):
+        for quantized, number in ((False, np.float64), (True, np.int16)):
+            nl = build_npid(default_config(n=15, quantized=quantized)).export_netlist()
+            assert [col.dtype for col in vars(nl.synapses).values()] == [
+                np.int32, np.int32, number, np.int8]
+            assert nl.neurons.id.dtype.kind == nl.neurons.layer.dtype.kind == "U"
+            assert nl.neurons.threshold.dtype.kind == ("i" if quantized else "f")
 
     def test_port_grid_size_mismatch_rejected(self):
         g3 = make_grid(-1, 1, 3)
@@ -87,9 +96,9 @@ class TestExport:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
+    def test_file_round_trip(self, tmp_path):
         _, nl = fig2_setup(quantized=True)
-        path = tmp_path / "net.json"
+        path = tmp_path / "net.npz"
         nl.save(path)
         back = Netlist.load(path)
         assert back.neurons == nl.neurons
@@ -98,28 +107,34 @@ class TestSerialization:
 
     def test_save_is_deterministic(self, tmp_path):
         net = build_npid(default_config(n=15, quantized=True))
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         net.export_netlist().save(p1)
         build_npid(default_config(n=15, quantized=True)).export_netlist().save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_top_level_schema(self, tmp_path):
         _, nl = fig2_setup()
-        path = tmp_path / "net.json"
+        path = tmp_path / "net"
         nl.save(path)
-        d = json.loads(path.read_text())
-        assert set(d) == {"neurons", "synapses", "meta"}
-        assert {"scale", "grids", "mode"} <= set(d["meta"])
-        assert d["meta"]["version"] == 2
-        assert set(d["neurons"]) == {"id", "layer", "threshold"}
-        assert set(d["synapses"]) == {"src", "dst", "weight", "delay"}
-        assert d["neurons"]["id"] == [n.id for n in nl.neurons]
-        assert all(type(k) is int for k in d["synapses"]["src"] + d["synapses"]["dst"])
+        assert [p.name for p in tmp_path.iterdir()] == ["net"]  # no ".npz" added
+        with np.load(path, allow_pickle=False) as z:
+            d = dict(z)
+        assert set(d) == {"meta", "neurons.id", "neurons.layer", "neurons.threshold",
+                          "synapses.src", "synapses.dst", "synapses.weight",
+                          "synapses.delay"}
+        assert d["meta"].shape == () and d["meta"].dtype.kind == "U"
+        meta = json.loads(d["meta"].item())
+        assert {"scale", "grids", "mode"} <= set(meta)
+        assert meta["version"] == 3
+        assert d["neurons.id"].tolist() == [n.id for n in nl.neurons]
+        assert d["synapses.src"].dtype == d["synapses.dst"].dtype == np.int32
+        assert d["synapses.delay"].dtype == np.int8
+        assert d["synapses.weight"].dtype == np.float64
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_full_n_round_trip(self, quantized, tmp_path):
         nl = build_npid(default_config(n=151, quantized=quantized)).export_netlist()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         nl.save(p1)
         back = Netlist.load(p1)
         assert back.neurons == nl.neurons
@@ -132,39 +147,54 @@ class TestSerialization:
         back.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_v1_file_rejected(self, tmp_path):
+    def test_v2_json_and_pickled_column_rejected(self, tmp_path):
         _, nl = fig2_setup()
-        v1 = {"neurons": [{"id": n.id, "layer": n.layer, "threshold": n.threshold}
-                          for n in nl.neurons],
-              "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
-                            "delay": s.delay} for s in nl.synapses],
-              "meta": nl.meta}
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(v1))
+        v2 = {"meta": {**nl.meta, "version": 2},
+              **{section: {name: col.tolist() for name, col in vars(table).items()}
+                 for section, table in (("neurons", nl.neurons),
+                                        ("synapses", nl.synapses))}}
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(v2))
         with pytest.raises(ValueError, match="meta.version"):
+            Netlist.load(path)
+        path = tmp_path / "pickled.npz"
+        nl.neurons.layer = nl.neurons.layer.astype(object)
+        nl.save(path)
+        with pytest.raises(ValueError, match="neurons.layer"):
             Netlist.load(path)
 
     @pytest.mark.parametrize("field, edit", [
-        ("synapses.src", lambda d: d["synapses"]["src"].__setitem__(0, 17)),
-        ("synapses.dst", lambda d: d["synapses"]["dst"].__setitem__(3, -1)),
-        ("synapses.src", lambda d: d["synapses"]["src"].__setitem__(0, 1.0)),
-        ("synapses.delay", lambda d: d["synapses"]["delay"].pop()),
-        ("synapses.delay", lambda d: d["synapses"]["delay"].__setitem__(0, 2)),
-        ("neurons.threshold", lambda d: d["neurons"]["threshold"].append(1)),
-        ("neurons.id", lambda d: d["neurons"]["id"].__setitem__(1, "a[0]")),
-        ("meta.version", lambda d: d["meta"].__setitem__("version", 3)),
+        ("synapses.src", lambda d: d["synapses.src"].__setitem__(0, 17)),
+        ("synapses.dst", lambda d: d["synapses.dst"].__setitem__(3, -1)),
+        ("synapses.src", lambda d: d.__setitem__("synapses.src",
+                                                 d["synapses.src"] + 0.0)),
+        ("synapses.delay", lambda d: d.__setitem__("synapses.delay",
+                                                   d["synapses.delay"][:-1])),
+        ("synapses.delay", lambda d: d["synapses.delay"].__setitem__(0, 2)),
+        ("neurons.threshold", lambda d: d.__setitem__(
+            "neurons.threshold", np.append(d["neurons.threshold"], 1))),
+        ("neurons.id", lambda d: d["neurons.id"].__setitem__(1, "a[0]")),
+        ("meta.version", lambda d: d.__setitem__("meta", np.array(json.dumps(
+            {**json.loads(d["meta"].item()), "version": 2})))),
     ])
-    def test_bad_columns_rejected_by_field(self, field, edit):
+    def test_bad_columns_rejected_by_field(self, field, edit, tmp_path):
+        """Edit one array of a saved file and write it back: load rejects
+        it naming the field."""
         _, nl = fig2_setup()
-        d = nl.to_dict()
-        Netlist.from_dict(d)  # the unedited dict loads
+        path = tmp_path / "net.npz"
+        nl.save(path)
+        assert Netlist.load(path) == nl  # the unedited file loads
+        with np.load(path, allow_pickle=False) as z:
+            d = dict(z)
         edit(d)
+        with open(path, "wb") as f:
+            np.savez(f, **d)
         with pytest.raises(ValueError, match=field):
-            Netlist.from_dict(d)
+            Netlist.load(path)
 
 
 NETLIST_PIN_SHA256 = (
-    "a5516af2379c5faa61c21ece0419f7e720bc38282b5917e0ce471826ec3d9965")
+    "6466314b7b1a056cdac04f9904c6c16fb9b2d56b5f7632e52c8a63ad3546077d")
 
 
 class TestFilePin:
@@ -172,7 +202,7 @@ class TestFilePin:
         """One SHA-256 over the files of 8 configs, in a fixed order; each
         file also survives load and save byte for byte."""
         h = hashlib.sha256()
-        path = tmp_path / "net.json"
+        path = tmp_path / "net.npz"
         for n, dist, quantized in itertools.product(
                 (151, 15), ("uniform", "quadratic"), (False, True)):
             build_npid(default_config(n=n, distribution=dist, quantized=quantized)
@@ -333,7 +363,7 @@ class TestRuntime:
         cfg = default_config(n=15, decay=0.85)
         net = build_npid(cfg)
         net.record_raster(True, raster=False)
-        path = tmp_path / "net.json"
+        path = tmp_path / "net.npz"
         net.export_netlist().save(path)
         rt = NetlistRuntime(Netlist.load(path))
         tm, dg = net.grids.target_measurement, net.grids.derivative
@@ -383,7 +413,7 @@ class TestGraphRuntime:
         g_out = make_grid(-2.5, 2.5, 125)
         unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
                            quantized=quantized, name="check")
-        path = tmp_path / "adder.json"
+        path = tmp_path / "adder.npz"
         export_netlist([unit], {"a": g_in, "b": g_in}, AB_WIRING).save(path)
         rt = NetlistRuntime(Netlist.load(path))
         got = np.array([[rt.step({"a": i, "b": j})["check"] for j in range(63)]
@@ -412,12 +442,11 @@ class TestGraphRuntime:
     def test_zero_delay_cycle_rejected_at_construction(self):
         nl = build_npid(default_config(n=15)).export_netlist()
 
-        ids = nl.neurons.id
+        ids = nl.neurons.id.tolist()
 
         def with_back_edge(delay):
             edge = (ids.index("control.reduce[0]"), ids.index("error.agg_pos[0]"), 2, delay)
-            cols = [col + [value] for col, value in zip(vars(nl.synapses).values(), edge)]
-            return Netlist(nl.neurons, Synapses(*cols), nl.meta)
+            return with_synapses(nl, edge)
 
         NetlistRuntime(with_back_edge(1))  # a delayed back edge is legal
         with pytest.raises(ValueError, match="cycle"):
@@ -440,7 +469,7 @@ class TestGraphRuntime:
         spiked = np.zeros((301, len(index)), dtype=bool)  # row 0: before tick 0
         for t, nid, _ in net.fetch_trace().raster:
             spiked[t + 1, index[nid]] = True
-        src, delay = np.array(nl.synapses.src), np.array(nl.synapses.delay)
+        src, delay = nl.synapses.src, nl.synapses.delay.astype(int)  # int8 would wrap
         want = [int(spiked[t + 1 - delay, src].sum()) for t in range(300)]
         assert events == want
         assert min(want) > 0
@@ -531,8 +560,9 @@ class TestRowOrder:
         weights = (1e16, 1.0, -1e16)
         nl = summing_netlist([0, 1, 2], weights, relay=False)
         decoy = len(nl.neurons)
-        nl = Netlist(Neurons(nl.neurons.id + ["decoy"], nl.neurons.layer + ["aggregate-pos"],
-                             nl.neurons.threshold + [0]), nl.synapses, nl.meta)
+        nl = Netlist(Neurons(np.append(nl.neurons.id, "decoy"),
+                             np.append(nl.neurons.layer, "aggregate-pos"),
+                             np.append(nl.neurons.threshold, 0)), nl.synapses, nl.meta)
         nl = with_synapses(nl, (3, decoy, 1.0, 0), (5, decoy, 1.0, 0), first=True)
         with pytest.raises(ValueError, match=r"neuron 'u\.reduce\[0\]' takes its "
                                              "in-edges in another order"):
@@ -561,7 +591,7 @@ class TestRowOrder:
 
     def test_source_feeding_a_neuron_twice_rejected(self):
         _, nl = fig2_setup()
-        ids = nl.neurons.id
+        ids = nl.neurons.id.tolist()
         a0, pos0 = ids.index("a[0]"), ids.index("adder.agg_pos[0]")
         NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 1)))  # once per delay is legal
         with pytest.raises(ValueError, match=r"neuron 'adder\.agg_pos\[0\]' has two "
@@ -585,7 +615,7 @@ class TestReplayProperty:
                                         quantized=quantized, decay=decay, mode=mode))
         net.record_raster(True, raster=False)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "net.json"
+            path = Path(tmp) / "net.npz"
             net.export_netlist().save(path)
             rt = NetlistRuntime(Netlist.load(path))
         for k, (x, s) in enumerate(random_stimuli(net, 200, seed)):
