@@ -122,28 +122,60 @@ class TestRunStepResponse:
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_closed_loop.json"
 
 
+# The RunMetrics fields the pin covers, read by name, so that a field
+# added later does not move it.
+PINNED_METRICS = ("rise_time", "overshoot", "overshoot_pct", "settling_time",
+                  "settled", "steady_state_error", "saturation_fraction")
+RUN_METRICS_SHA256 = "b55caa663255a5f684ee29a05c5640ecce9879c4f7c4b8c73ce7e5ab5eb51b5d"
+
+
 class TestGoldenTraces:
     """A sample of the benchmark's recorded trace digests: every
     closed_loop config at the lattice's ends and middle.  A change that
-    moves one bin, or one float of the CSV, changes a digest."""
+    moves one bin, or one float of the CSV, changes a digest; a change
+    that moves one metric of these runs changes the metrics pin."""
+
+    SETPOINTS = (0.5, 1.5, 3.5)
 
     @pytest.fixture(scope="class")
     def digests(self):
         return json.loads(GOLDEN.read_text())["digests"]
 
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """golden key -> (trace CSV SHA-256, RunMetrics) of every sampled run."""
+        path = tmp_path_factory.mktemp("golden") / "trace.csv"
+        out = {}
+        for n in (151, 63, 15):
+            for distribution in ("uniform", "quadratic"):
+                for quantized in (False, True):
+                    kind = "quantized" if quantized else "float"
+                    for sp in self.SETPOINTS:
+                        trace, metrics = run_step_response(step_experiment(
+                            setpoint=sp, n=n, distribution=distribution,
+                            quantized=quantized))
+                        trace.write_csv(path)
+                        out[f"n{n}/{distribution}/{kind}/{sp:.1f}"] = (
+                            hashlib.sha256(path.read_bytes()).hexdigest(), metrics)
+        return out
+
     @pytest.mark.parametrize("n", [151, 63, 15])
     @pytest.mark.parametrize("distribution", ["uniform", "quadratic"])
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_trace_csv_matches_recorded_digest(self, tmp_path, digests, n,
+    def test_trace_csv_matches_recorded_digest(self, runs, digests, n,
                                                distribution, quantized):
         kind = "quantized" if quantized else "float"
-        path = tmp_path / "trace.csv"
-        for sp in (0.5, 1.5, 3.5):
-            trace, _ = run_step_response(step_experiment(
-                setpoint=sp, n=n, distribution=distribution, quantized=quantized))
-            trace.write_csv(path)
-            assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                    == digests[f"n{n}/{distribution}/{kind}/{sp:.1f}"]), sp
+        for sp in self.SETPOINTS:
+            key = f"n{n}/{distribution}/{kind}/{sp:.1f}"
+            assert runs[key][0] == digests[key], sp
+
+    def test_run_metrics_match_pin(self, runs):
+        """One SHA-256 over the repr of every pinned metric of the 36
+        sampled runs, in the order the runs fly."""
+        text = "".join(f"{key} {name}={getattr(metrics, name)!r}\n"
+                       for key, (_, metrics) in runs.items()
+                       for name in PINNED_METRICS)
+        assert hashlib.sha256(text.encode()).hexdigest() == RUN_METRICS_SHA256
 
 
 class TestVerifyAdder:
