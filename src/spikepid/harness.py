@@ -178,14 +178,13 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     n = len(z)
     dt = cfg.npid.dt
 
-    # Band: the set-point's measurement bin plus one bin either side.
+    # Band: the set-point's measurement bin plus one bin either side.  The
+    # altitudes are finite, so searchsorted is encode's bisect_left.
     sp_bin = encode(meas_grid, sp)
-    in_band = [abs(encode(meas_grid, zz) - sp_bin) <= 1 for zz in z]
-    last_out = -1
-    for k in range(n):
-        if not in_band[k]:
-            last_out = k
-    settled = last_out < n - 1 and any(in_band)
+    z_bins = np.searchsorted(meas_grid._boundaries, z, side="left")
+    out_of_band = np.flatnonzero(np.abs(z_bins - sp_bin) > 1)
+    last_out = int(out_of_band[-1]) if len(out_of_band) else -1
+    settled = last_out < n - 1  # inside the band from last_out + 1 on
     settling_time = (last_out + 1) * dt if settled else math.inf
 
     if step == 0:
@@ -217,11 +216,13 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     """Closed loop from rest: sense, control, then integrate the plant
     through the physics sub-steps of one control period in one call."""
     dt_ctrl = cfg.npid.dt
-    dt_phys = dt_ctrl / cfg.physics_substeps
+    substeps = cfg.physics_substeps
+    dt_phys = dt_ctrl / substeps
     n_ticks = cfg.ticks
+    setpoint, params, beta = cfg.setpoint, cfg.plant, cfg.battery_beta
     plant = PlantState()
     sensor = SensorModel(quantum=cfg.sensor_quantum, window=cfg.sensor_window)
-    hover = hover_thrust(cfg.plant)
+    hover = hover_thrust(params)
     trace = TraceRecord()
 
     net: NpidNetwork | None = None
@@ -232,32 +233,33 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     else:
         pid_st = PidState()
     out_grid = cfg.npid.output_grid
+    z_col, vz_col, z_meas_col = trace.z, trace.vz, trace.z_meas
+    u_col, thrust_col = trace.u_newton, trace.thrust_total
 
-    for k in range(n_ticks):
+    for _ in range(n_ticks):
         z_meas, climb = sense(sensor, plant, dt_ctrl)
         # The controller takes the error derivative; with a constant
         # set-point that is the negated climb rate.
         d_meas = -climb
         if net is not None:
-            u = net.step(cfg.setpoint, z_meas, d_meas)
+            u = net.step(setpoint, z_meas, d_meas)
         else:
             # Same output clamp and integral leak as the spiking
             # controller, so the comparison isolates the position coding.
-            u = pid_step(pid_st, cfg.setpoint, z_meas, dt_ctrl, cfg.npid.gains,
+            u = pid_step(pid_st, setpoint, z_meas, dt_ctrl, cfg.npid.gains,
                          clamp=(out_grid.lo, out_grid.hi), lam=cfg.npid.decay)
-        thrust_cmd = hover + u + battery_sag(plant.t, cfg.battery_beta)
+        thrust_cmd = hover + u + battery_sag(plant.t, beta)
 
-        trace.t.append(k * dt_ctrl)
-        trace.z.append(plant.z)
-        trace.vz.append(plant.vz)
-        trace.z_meas.append(z_meas)
-        trace.target.append(cfg.setpoint)
-        trace.u_newton.append(u)
-        trace.thrust_total.append(thrust_cmd)
+        z_col.append(plant.z)
+        vz_col.append(plant.vz)
+        z_meas_col.append(z_meas)
+        u_col.append(u)
+        thrust_col.append(thrust_cmd)
 
-        plant = plant_step(plant, thrust_cmd, dt_phys, cfg.plant,
-                           cfg.physics_substeps)
+        plant = plant_step(plant, thrust_cmd, dt_phys, params, substeps)
 
+    trace.t = [k * dt_ctrl for k in range(n_ticks)]
+    trace.target = [setpoint] * n_ticks
     if net is not None:
         bins = net.fetch_trace()
         trace.error_bin, trace.integral_bin = bins.error_bin, bins.integral_bin

@@ -68,7 +68,7 @@ class PlantParams:
         return 4.0 * self.mass * G
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantState:
     z: float = 0.0         # m, altitude
     vz: float = 0.0        # m/s
@@ -99,11 +99,16 @@ def plant_step(state: PlantState, command: float, dt: float,
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+    # The exact type test spares a plain int the abstract-class lookup.
+    if (not (type(substeps) is int or isinstance(substeps, numbers.Integral))
+            or substeps < 1):
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if not math.isfinite(command):
         raise ValueError(f"command must be finite, got {command!r}")
-    cmd = min(max(command, 0.0), params.thrust_max)
+    # min(max(command, 0.0), thrust_max), signed zeros included, without
+    # two builtin calls per tick.
+    thrust_max = params.thrust_max
+    cmd = thrust_max if thrust_max < command else 0.0 if command < 0.0 else command
     mass, drag = params.mass, params.drag
     weight = mass * G
     lag = params.motor_tau > 0
@@ -117,7 +122,7 @@ def plant_step(state: PlantState, command: float, dt: float,
             z = 0.0
             vz = max(vz, 0.0)
         t = t + dt
-    return PlantState(z=z, vz=vz, thrust=thrust, t=t)
+    return PlantState(z, vz, thrust, t)
 
 
 @dataclass
@@ -130,13 +135,14 @@ class SensorModel:
 
     quantum: float = 0.01   # m
     window: int = 1         # ticks
-    _history: deque = field(default_factory=deque, repr=False)
+    _history: deque = field(init=False, repr=False)  # the last window + 1 readings
 
     def __post_init__(self):
         if not 0.0 < self.quantum < math.inf:
             raise ValueError(f"quantum must be finite and positive, got {self.quantum!r}")
         if not isinstance(self.window, numbers.Integral) or self.window < 1:
             raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
+        self._history = deque(maxlen=self.window + 1)
 
 
 def sense(model: SensorModel, state: PlantState, dt_ctrl: float) -> tuple[float, float]:
@@ -154,8 +160,6 @@ def sense(model: SensorModel, state: PlantState, dt_ctrl: float) -> tuple[float,
     z_hat = math.floor(state.z / model.quantum + 1e-9) * model.quantum
     hist = model._history
     hist.append(z_hat)
-    while len(hist) > model.window + 1:
-        hist.popleft()
     if len(hist) <= model.window:
         d_hat = 0.0
     else:

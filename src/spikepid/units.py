@@ -82,19 +82,26 @@ class InputSpec:
     gain: float = 1.0
 
 
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
+def round_half_away(x):
+    """Round to nearest integer, ties away from zero.  x is a float
+    (returns an int) or a numpy array (returns a float array of the
+    integers the same rule gives elementwise)."""
+    if isinstance(x, np.ndarray):
+        return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
     if x >= 0:
         return int(math.floor(x + 0.5))
     return int(math.ceil(x - 0.5))
 
 
-def quantize_weight(w: float, scale: float) -> int:
+def quantize_weight(w, scale: float):
     """Map a real weight to the nearest even integer at the given scale,
-    clamped to the representable range [-256, 254]."""
+    clamped to the representable range [-256, 254].  w is a float
+    (returns an int) or a numpy array (returns an int64 array)."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     q = 2 * round_half_away(w * scale / 2.0)
+    if isinstance(q, np.ndarray):
+        return np.clip(q, WEIGHT_MIN, WEIGHT_MAX).astype(np.int64)
     return max(WEIGHT_MIN, min(WEIGHT_MAX, q))
 
 
@@ -104,7 +111,7 @@ def choose_scale(weights) -> int:
     One scale is used for all weights and thresholds of a unit so their
     relative magnitudes survive quantization.
     """
-    max_w = max((abs(w) for w in weights), default=0.0)
+    max_w = float(np.max(np.abs(np.asarray(weights, dtype=float)), initial=0.0))
     if max_w == 0.0:
         raise ValueError("cannot scale an all-zero weight set")
     scale = int(WEIGHT_MAX // max_w)
@@ -149,6 +156,8 @@ class AdderUnit:
         self.pos_count = len(thr_pos)
         self.neg_count = len(thr_neg)
 
+        # What winner_bin reads, in one attribute read per call.
+        self._tick = (tuple(weights), thr_pos, thr_neg, self.zero_index)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
         self._weight_arrs = [np.asarray(w) for w in weights]
@@ -160,30 +169,17 @@ class AdderUnit:
         """Per reduce neuron: aggregate indices of its excitatory and
         inhibitory sources (global aggregate index: pos k -> k,
         neg k -> pos_count + k; -1 means no synapse)."""
-        z = self.zero_index
-        exc1, exc2, inh1, inh2 = [], [], [], []
-        for r in range(self.n_out):
-            if r > z:
-                k = r - z
-                exc1.append(k)
-                exc2.append(-1)
-                inh1.append(k + 1 if k + 1 < self.pos_count else -1)
-                inh2.append(-1)
-            elif r < z:
-                k = z - r
-                exc1.append(self.pos_count + k)
-                exc2.append(-1)
-                inh1.append(self.pos_count + k + 1 if k + 1 < self.neg_count else -1)
-                inh2.append(-1)
-            else:
-                exc1.append(0)  # pos zero
-                exc2.append(self.pos_count)  # neg zero (epsilon)
-                inh1.append(1 if self.pos_count > 1 else -1)
-                inh2.append(self.pos_count + 1 if self.neg_count > 1 else -1)
-        self._exc1 = np.array(exc1)
-        self._exc2 = np.array(exc2)
-        self._inh1 = np.array(inh1)
-        self._inh2 = np.array(inh2)
+        z, pc, nc = self.zero_index, self.pos_count, self.neg_count
+        r = np.arange(self.n_out)
+        k = np.abs(r - z)  # the magnitude index of each reduce neuron
+        neg = r < z
+        base = np.where(neg, pc, 0)  # pos k -> k, neg k -> pc + k
+        self._exc1 = base + k  # the zero neuron gets pos zero
+        self._inh1 = np.where(k + 1 < np.where(neg, nc, pc), base + k + 1, -1)
+        self._exc2 = np.full(self.n_out, -1)
+        self._exc2[z] = pc  # neg zero (epsilon)
+        self._inh2 = np.full(self.n_out, -1)
+        self._inh2[z] = pc + 1 if nc > 1 else -1
 
     @property
     def neuron_count(self) -> int:
@@ -191,35 +187,32 @@ class AdderUnit:
 
     # -- evaluation --------------------------------------------------------
 
-    def potential(self, bins) -> float:
-        """Summed drive into the aggregate-pos layer for the given input
-        bins (the aggregate-neg layer sees its negation)."""
-        s = self.weights[0][bins[0]]
-        for w, b in zip(self.weights[1:], bins[1:]):
-            s = s + w[b]
-        return s
-
     def winner_bin(self, *bins) -> int:
         """Output bin for the given input bins (fast path).
 
         Uses the prefix-firing property: the reduce winner is the largest
         output value whose aggregate threshold is reached, found by
         bisection over the same thresholds the spiking path compares
-        against.  Bit-identical to eval_bins (tested exhaustively).
+        against, on the input weights summed left to right.
+        Bit-identical to eval_bins (tested exhaustively).
         """
-        s = self.potential(bins)
+        weights, thr_pos, thr_neg, zero = self._tick
+        # Not sum(): from Python 3.12 it compensates float sums, which
+        # eval_bins' numpy adds do not.
+        s = weights[0][bins[0]]
+        for p in range(1, len(weights)):
+            s = s + weights[p][bins[p]]
         if s >= 0:
-            k = bisect_right(self.thr_pos, s) - 1
-            return self.zero_index + k
-        k = bisect_right(self.thr_neg, -s) - 1
-        return self.zero_index - max(k, 0)
+            return zero + bisect_right(thr_pos, s) - 1
+        # thr_neg[0] is ulp(0.0) or 1, which every negative sum reaches.
+        return zero - bisect_right(thr_neg, -s) + 1
 
     def eval_bins(self, bins):
         """Literal spike propagation for a batch of input-bin rows.
 
         bins: integer array [B, P], one bin per input population per row.
         Every aggregate neuron compares the row's potential (summed left
-        to right, as in potential) with its threshold; every reduce
+        to right, as in winner_bin) with its threshold; every reduce
         neuron sums its excitatory and inhibitory aggregate sources and
         compares with REDUCE_THRESHOLD.  Returns (winners[B],
         pos[B, pos_count], neg[B, neg_count], reduce[B, n_out]), the
@@ -362,28 +355,28 @@ def build_adder(inputs, output: ValueGrid, mode: str = MODE_NEAREST,
 
     float_weights = []
     for spec in specs:
-        row = [spec.gain * v for v in spec.grid.values]
-        if spec.sign < 0:
-            row = [-w for w in row]
-        float_weights.append(row)
+        row = spec.gain * np.asarray(spec.grid.values)
+        float_weights.append(row if spec.sign > 0 else -row)
 
     thr_pos_f, thr_neg_f = _aggregate_thresholds(output, mode)
 
     if quantized:
-        scale = choose_scale([w for row in float_weights for w in row])
-        weights = [[quantize_weight(w, scale) for w in row] for row in float_weights]
-        # Non-zero thresholds clamp to >= 1 so no magnitude neuron can fire
-        # on a zero sum after rounding (rounding is monotone, so the
-        # ladders stay sorted and the prefix-firing property survives).
-        thr_pos = [0] + [
-            max(1, round_half_away(t * scale)) for t in thr_pos_f[1:]
-        ]
-        thr_neg = [1] + [  # epsilon: strictly-negative detector
-            max(1, round_half_away(t * scale)) for t in thr_neg_f[1:]
-        ]
+        scale = choose_scale(np.concatenate(float_weights))
+        weights = [quantize_weight(row, scale).tolist() for row in float_weights]
+
+        def magnitudes(ladder):
+            # Non-zero thresholds clamp to >= 1 so no magnitude neuron can
+            # fire on a zero sum after rounding (rounding is monotone, so
+            # the ladders stay sorted and the prefix-firing property
+            # survives).  int() of each float keeps them exact at any size.
+            return [int(t) for t in np.maximum(
+                1, round_half_away(np.array(ladder[1:]) * scale)).tolist()]
+
+        thr_pos = [0] + magnitudes(thr_pos_f)
+        thr_neg = [1] + magnitudes(thr_neg_f)  # epsilon: strictly-negative detector
     else:
         scale = 1.0
-        weights = float_weights
+        weights = [row.tolist() for row in float_weights]
         thr_pos = thr_pos_f
         thr_neg = list(thr_neg_f)
         thr_neg[0] = FLOAT_EPSILON

@@ -48,6 +48,14 @@ class TestRunStepResponse:
         assert metrics.settled
         assert metrics.settling_time <= 15.0
 
+    def test_run_that_ends_outside_the_band_has_not_settled(self):
+        """Half a second is too short to climb 1.5 m: the last tick is out
+        of the band, so there is no settling time."""
+        trace, metrics = run_step_response(step_experiment(setpoint=1.5, n=15,
+                                                           duration=0.5))
+        assert trace.z[-1] < 1.0
+        assert not metrics.settled and metrics.settling_time == math.inf
+
     def test_coarse_quadratic_settles_with_offset(self):
         cfg = step_experiment(setpoint=1.0, n=15, distribution="quadratic")
         _, metrics = run_step_response(cfg)

@@ -186,9 +186,12 @@ class TestSensor:
         assert z_hat == pytest.approx(1.50)
 
     def test_exact_multiple_not_floored_down(self):
-        model = SensorModel()
-        z_hat, _ = sense(model, PlantState(z=1.50), 1 / 70)
-        assert z_hat == pytest.approx(1.50)
+        """Every altitude k * 0.01 reads back exactly.  1.50 / 0.01
+        divides exactly, but 0.29 / 0.01 is 28.999999999999996, which
+        floors into the bin below without the epsilon."""
+        for k in range(401):
+            z_hat, _ = sense(SensorModel(), PlantState(z=k * 0.01), 1 / 70)
+            assert z_hat == k * 0.01, k
 
     def test_quantization_error_bound(self):
         model = SensorModel()

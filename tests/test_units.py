@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikepid.grids import make_grid
-from spikepid.reference import round_to_grid
+from spikepid.reference import _StageModel, round_to_grid
 from spikepid.units import (
     build_adder,
     choose_scale,
     eval_unit,
     one_hot,
     quantize_weight,
+    round_half_away,
 )
 
 
@@ -35,6 +36,21 @@ class TestQuantizeWeight:
         # 0.5 * 254 = 127, equidistant from 126 and 128
         assert quantize_weight(0.5, 254) == 128
         assert quantize_weight(-0.5, 254) == -128
+        # 2.5 * 2 / 2 = 2.5: Python's and numpy's round, half to even,
+        # would give 2 and so 4.
+        assert quantize_weight(2.5, 2) == 6
+        assert quantize_weight(-2.5, 2) == -6
+
+    def test_array_equals_scalar_rule(self):
+        """The array forms give, element by element, what the scalar
+        forms give: exact ties, both clamps and signed zeros included."""
+        x = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49, -0.51, 0.0, -0.0,
+                      127.0, -128.0, 127.5, -128.5, 300.0, -300.0, 3.3, -7.9])
+        assert round_half_away(x).tolist() == [round_half_away(float(v)) for v in x]
+        q = quantize_weight(x, 2)
+        assert q.dtype == np.int64
+        assert q.tolist() == [quantize_weight(float(v), 2) for v in x]
+        assert {254, -256} <= set(q.tolist())  # both clamps reached
 
     def test_clamps_to_representable_range(self):
         assert quantize_weight(10.0, 254) == 254
@@ -86,6 +102,27 @@ class TestBuildAdder:
         for p, k in enumerate(gains):
             for i, v in enumerate(g.values):
                 assert u.weights[p][i] == k * v
+
+    @pytest.mark.parametrize("mode,thr", [("floor", [1, 1, 2, 3]),
+                                          ("nearest", [1, 1, 2, 2])])
+    def test_quantized_ladders_follow_the_scalar_rule(self, mode, thr):
+        """At scale 256 (max|w| = 254/256) every product below is exact:
+        floor thresholds x256 are 0.625, 1.25, 1.875 and the tie 2.5;
+        nearest ones 0.3125 (clamped up to 1), 0.9375, 1.5625, 2.1875.
+        The second input's weight 3/256 x128 is the tie 1.5.  The
+        oracle's stage model quantizes with the scalar rules."""
+        g = make_grid(-1, 1, 3)
+        out = make_grid(-5 / 512, 5 / 512, 9)
+        u = build_adder([(g, 1, 254 / 256), (g, -1, 3 / 256)], out,
+                        mode=mode, quantized=True)
+        assert u.scale == 256
+        assert u.weights == [[-254, 0, 254], [4, 0, -4]]
+        assert u.thr_pos == [0] + thr and u.thr_neg == [1] + thr
+        stage = _StageModel([[254 / 256 * v for v in g.values],
+                             [-(3 / 256 * v) for v in g.values]], out, mode, True)
+        assert stage.tables == u.weights
+        assert (stage.up, stage.down) == (u.thr_pos[1:], u.thr_neg[1:])
+        assert all(type(t) is int for t in u.thr_pos + u.thr_neg)
 
     def test_subtraction_flips_weight_sign(self):
         g = make_grid(-1, 1, 5)
