@@ -202,6 +202,16 @@ class TestVerifyAdder:
         assert rep.ok
         assert rep.within_one == rep.pairs
 
+    def test_quantized_quadratic_n151_report_pin(self):
+        """Past n=15 the even-integer weight step outgrows the central
+        quadratic bins, and the report says so, count for count."""
+        rep = verify_adder(151, "quadratic", "nearest", quantized=True)
+        assert not rep.ok
+        assert (rep.pairs, rep.exact, rep.within_one, rep.max_deviation) == (
+            22801, 16229, 22151, 9)
+        assert rep.mismatches[0] == (0, 19, 17, 18)
+        assert len(rep.mismatches) == 10
+
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             verify_adder(1002)
