@@ -24,7 +24,9 @@ and an implicit factor 2); thresholds quantize to plain integers.
 AdderUnit.eval_bins is the one literal propagation: it evaluates a batch
 of input-bin rows through both layers and returns every firing mask.
 eval_unit, eval_all_pairs, SpikeTrace.raster (re-deriving recorded
-spikes from their bins) and the exhaustive verification all call it.
+spikes from their bins) and the exhaustive verification all call it;
+the verification propagates one row per distinct potential, since
+rows with equal potentials fire every neuron alike.
 AdderUnit.winner_bin is the one path the controller ticks on; it skips
 the layers through the prefix property and is bit-identical to eval_bins.
 """
@@ -70,6 +72,9 @@ LAYER_REDUCE = "reduce"
 REDUCE_EXC = 2
 REDUCE_INH = -2
 REDUCE_THRESHOLD = 1
+# eval_bins applies the reduce weights as one factor on (excitatory -
+# inhibitory) spike counts, which needs equal magnitudes.
+assert REDUCE_INH == -REDUCE_EXC
 
 
 @dataclass(frozen=True)
@@ -207,6 +212,17 @@ class AdderUnit:
         # thr_neg[0] is ulp(0.0) or 1, which every negative sum reaches.
         return zero - bisect_right(thr_neg, -s) + 1
 
+    def potentials(self, bins):
+        """Potential of each input-bin row: bins is an integer array
+        [B, P], one bin per input population per row, and each row's
+        input weights are summed left to right, as winner_bin sums them.
+        An aggregate neuron sees a row only through this value."""
+        bins = np.asarray(bins)
+        s = self._weight_arrs[0][bins[:, 0]]
+        for p in range(1, len(self._weight_arrs)):
+            s = s + self._weight_arrs[p][bins[:, p]]
+        return s
+
     def eval_bins(self, bins):
         """Literal spike propagation for a batch of input-bin rows.
 
@@ -221,9 +237,7 @@ class AdderUnit:
         exactly one winner.
         """
         bins = np.asarray(bins)
-        s = self._weight_arrs[0][bins[:, 0]]
-        for p in range(1, len(self._weight_arrs)):
-            s = s + self._weight_arrs[p][bins[:, p]]
+        s = self.potentials(bins)
         pc, nc = self.pos_count, self.neg_count
         # Firing with one row per aggregate neuron (pos, then neg) and one
         # column per batch row, so each reduce source is a contiguous row.
@@ -232,8 +246,17 @@ class AdderUnit:
         np.greater_equal(s, self._thr_pos_col, out=agg[:pc])
         np.greater_equal(-s, self._thr_neg_col, out=agg[pc:-1])
         fire = agg.view(np.int8)
-        red = (REDUCE_EXC * (fire[self._exc1] + fire[self._exc2])
-               + REDUCE_INH * (fire[self._inh1] + fire[self._inh2]))
+        # Excitatory minus inhibitory spikes per reduce neuron, then the
+        # one weight magnitude (REDUCE_INH == -REDUCE_EXC).  Only the zero
+        # neuron has a second pair of sources, so that pair is gathered
+        # for the neurons it is wired to, not for every neuron.
+        red = fire[self._exc1]
+        red -= fire[self._inh1]
+        wired = self._exc2 >= 0
+        red[wired] += fire[self._exc2[wired]]
+        wired = self._inh2 >= 0
+        red[wired] -= fire[self._inh2[wired]]
+        red *= REDUCE_EXC
         red_fire = red >= REDUCE_THRESHOLD
         # One row-major pass lists every reduce spike as (neuron, batch
         # row); a column-wise sum or argmax would stride across rows.

@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+from spikepid.grids import make_grid
 from spikepid.harness import (
+    AdderCheckReport,
     ExperimentConfig,
     bench,
     compare,
@@ -21,6 +23,8 @@ from spikepid.harness import (
     write_svg,
 )
 from spikepid.plant import PlantParams
+from spikepid.reference import round_to_grid
+from spikepid.units import build_adder
 
 
 class TestRunStepResponse:
@@ -215,6 +219,53 @@ class TestVerifyAdder:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             verify_adder(1002)
+
+    @staticmethod
+    def brute_force_report(n, dist, mode, quantized, hi):
+        """verify_adder's report built the plain way: eval_bins on every
+        pair row and the scalar oracle on every pair's sum."""
+        g_in = make_grid(-hi, hi, n, dist)
+        g_out = make_grid(-2 * hi, 2 * hi, 2 * n - 1, dist)
+        unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
+                           mode=mode, quantized=quantized, name="check")
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        got = unit.eval_bins(pairs)[0].tolist()
+        want = [round_to_grid(g_out, g_in.values[i] + g_in.values[j], mode)
+                for i, j in pairs]
+        dev = [abs(g - w) for g, w in zip(got, want)]
+        return AdderCheckReport(
+            n=n, distribution=dist, mode=mode, quantized=quantized, pairs=n * n,
+            exact=dev.count(0), within_one=sum(d <= 1 for d in dev),
+            max_deviation=max(dev),
+            mismatches=[(i, j, g, w) for (i, j), g, w, d in
+                        zip(pairs, got, want, dev) if d][:10])
+
+    @pytest.mark.parametrize("n", [3, 8, 31])
+    @pytest.mark.parametrize("dist", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("mode", ["floor", "nearest"])
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("hi", [1.25, 1.0, 0.37])
+    def test_distinct_potentials_report_equals_brute_force(self, n, dist, mode,
+                                                           quantized, hi):
+        """Propagating one pair per distinct potential loses nothing:
+        every report field but the time equals the all-pairs report."""
+        rep = asdict(verify_adder(n, dist, mode, quantized=quantized, lo=-hi, hi=hi))
+        want = asdict(self.brute_force_report(n, dist, mode, quantized, hi))
+        del rep["elapsed_s"], want["elapsed_s"]
+        assert rep == want
+
+    def test_brute_force_comparison_covers_ties_and_mismatches(self):
+        """The grids above make many pairs share a potential (on the
+        uniform grid over [-1, 1], i + j fixes the sum), and some
+        quantized configs miss the oracle, so both the class expansion
+        and the row-major mismatch list are exercised."""
+        g_in = make_grid(-1.0, 1.0, 31)
+        unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)],
+                           make_grid(-2.0, 2.0, 61))
+        pairs = [(i, j) for i in range(31) for j in range(31)]
+        assert len(set(unit.potentials(pairs).tolist())) < len(pairs) / 4
+        rep = verify_adder(31, "quadratic", "nearest", quantized=True, lo=-0.37, hi=0.37)
+        assert len(rep.mismatches) == 10
 
     def test_report_summary_format(self):
         rep = verify_adder(15, "uniform", "floor")

@@ -249,6 +249,18 @@ class TestEvalUnit:
                                  r"for input bins \[2, 1\]$"):
             fig2_unit.eval_bins([[1, 1], [0, 0], [2, 1], [2, 2]])
 
+    def test_cut_zero_inhibition_names_first_negative_row(self, fig2_unit):
+        """Only the zero reduce neuron has a second inhibitory source
+        (aggregate-neg 1), and eval_bins reads that wiring at call time:
+        cut, a sum of -1 fires both the zero and the -1 neuron."""
+        z = fig2_unit.zero_index
+        assert (fig2_unit._inh2 >= 0).tolist() == [k == z for k in range(5)]
+        fig2_unit._inh2[z] = -1
+        with pytest.raises(AssertionError,
+                           match=r"^reduce layer of 'adder' produced 2 winners "
+                                 r"for input bins \[1, 0\]$"):
+            fig2_unit.eval_bins([[1, 1], [2, 0], [1, 0], [0, 0]])
+
 
 def _oracle_check(n, dist, mode, quantized, tol):
     g_in = make_grid(-1.25, 1.25, n, dist)
