@@ -32,6 +32,21 @@ from .harness import (
     write_svg,
 )
 
+
+def _boolean(text):
+    """argparse type for a yes/no value: true/false, 1/0 or yes/no, in
+    any case; anything else is an error that names the flag."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+_boolean.__name__ = "boolean"  # argparse's error names it
+
+
 # The flags that set a step_experiment argument: flag -> (argument,
 # argparse options).  Each defaults to SUPPRESS, so a flag left out is
 # absent from the parsed args and step_experiment's default applies.
@@ -45,8 +60,7 @@ STEP_FLAGS = {
     "--mode": ("mode", dict(choices=["floor", "nearest"],
                             help="rounding mode of every unit")),
     "--quantized": ("quantized", dict(
-        type=lambda s: s.lower() in ("1", "true", "yes"),
-        help="even-integer 8-bit weights")),
+        type=_boolean, help="even-integer 8-bit weights (true/false)")),
 }
 RUN = tuple(STEP_FLAGS)
 CONTROLLER = tuple(f for f in RUN if f not in ("--setpoint", "--duration"))

@@ -14,7 +14,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["ValueGrid", "check_grid", "make_grid", "encode", "decode"]
+__all__ = ["ValueGrid", "check_grid", "make_grid", "encode"]
 
 UNIFORM = "uniform"
 QUADRATIC = "quadratic"
@@ -63,16 +63,6 @@ class ValueGrid:
             "distribution": self.distribution,
             "values": list(self.values),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ValueGrid":
-        return cls(
-            lo=d["lo"],
-            hi=d["hi"],
-            n=d["n"],
-            distribution=d["distribution"],
-            values=tuple(d["values"]),
-        )
 
 
 def _mirrored_levels(half: list[float]) -> list[float]:
@@ -154,10 +144,3 @@ def encode(grid: ValueGrid, x: float) -> int:
     # bisect_left on midpoints: x == boundary[i] lands at bin i, which
     # realizes the tie-toward-lower-index rule; clamping is implicit.
     return bisect_left(grid._boundaries, x)
-
-
-def decode(grid: ValueGrid, i: int) -> float:
-    """Value of bin i.  Raises IndexError outside [0, n)."""
-    if not 0 <= i < grid.n:
-        raise IndexError(f"bin index {i} out of range for grid of size {grid.n}")
-    return grid.values[i]

@@ -87,8 +87,10 @@ class ExperimentConfig:
                 or self.physics_substeps < 1):
             raise ValueError("physics_substeps must be an integer >= 1, "
                              f"got {self.physics_substeps!r}")
-        if not math.isfinite(self.setpoint):
-            raise ValueError(f"setpoint must be finite, got {self.setpoint!r}")
+        # Every run starts on the ground (z = 0), and the plant never
+        # goes below it.
+        if not 0 <= self.setpoint < math.inf:
+            raise ValueError(f"setpoint must be finite and >= 0, got {self.setpoint!r}")
         # The sensor and the battery model own their input rules; their
         # messages start with the argument name, which the prefix turns
         # into this config's field name.
@@ -195,11 +197,8 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
         t90 = next((k * dt for k, fr in enumerate(frac) if fr >= 0.9), math.inf)
         rise = t90 - t10 if math.isfinite(t90) and math.isfinite(t10) else math.inf
 
-    if step >= 0:
-        over = max(0.0, max(z) - sp)
-    else:
-        over = max(0.0, sp - min(z))
-    over_pct = 100.0 * over / abs(step) if step != 0 else 0.0
+    over = max(0.0, max(z) - sp)  # a run starts at z = 0 <= sp
+    over_pct = 100.0 * over / step if step != 0 else 0.0
 
     tail = max(1, int(round(1.0 / dt)))  # the last second
     sse = abs(sp - sum(z[-tail:]) / len(z[-tail:]))
@@ -305,11 +304,6 @@ class AdderCheckReport:
                 f"[{'OK' if self.ok else 'MISMATCH'}] ({self.elapsed_s:.2f}s)")
 
 
-# Representative rows per eval_bins call.  Bounds the call's firing
-# arrays, one byte per row for each of the adder's neurons, whatever n is.
-VERIFY_CHUNK = 4096
-
-
 def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
                  quantized: bool = False, lo: float = -1.25,
                  hi: float = 1.25) -> AdderCheckReport:
@@ -319,10 +313,12 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     The canonical setup adds two populations on [lo, hi] into an output
     grid spanning the full sum range with 2n-1 values.  The oracle bins
     come from round_to_grid on the summed grid values; the oracle never
-    touches the spiking path.  Pairs with equal potentials fire every
-    neuron alike (signed zeros included), so AdderUnit.eval_bins runs on
-    the first pair of each distinct potential and its winner stands for
-    the rest; every pair is still compared with the oracle.
+    touches the spiking path.  Pairs in one aggregate firing class
+    (AdderUnit.firing_class: no threshold between their potentials) fire
+    every neuron alike, so AdderUnit.eval_bins runs on one row per
+    class, the first pair of the class in row-major order, and its
+    winner stands for the rest; every pair is still compared with the
+    oracle.
     """
     if n > 1001:
         raise ValueError("n must be <= 1001, as verification enumerates n^2 "
@@ -336,13 +332,19 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     # Every pair (i, j) in row-major order; int16 holds any bin of n <= 1001
     # and keeps the array at 4 MB there.
     pairs = np.indices((n, n), dtype=np.int16).reshape(2, -1).T
-    _, first, cls = np.unique(unit.potentials(pairs), return_index=True,
-                              return_inverse=True)
-    winners = np.concatenate([unit.eval_bins(pairs[first[k:k + VERIFY_CHUNK]])[0]
-                              for k in range(0, len(first), VERIFY_CHUNK)])
+    key = unit.firing_class(unit.potentials(pairs))
+    # The smallest pair index of each class; minimum is order-free, so the
+    # representative does not depend on the order of the scatter.
+    first = np.full(key.max() + 1, len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    present = first < len(key)
+    # At most pos_count + neg_count + 1 = 2n + 1 classes (firing_class), so
+    # one eval_bins call takes them all.
+    winners = unit.eval_bins(pairs[first[present]])[0]
+    got = winners[np.cumsum(present)[key] - 1]
+    del key, first  # 16 MB at n=1001, freed before the oracle's own peak
     vals = np.asarray(g_in.values)
     want = round_to_grid(g_out, np.add.outer(vals, vals).ravel(), mode)
-    got = winners[cls]
     dev = np.abs(got - want)
     return AdderCheckReport(
         n=n, distribution=distribution, mode=mode, quantized=quantized,

@@ -25,8 +25,9 @@ AdderUnit.eval_bins is the one literal propagation: it evaluates a batch
 of input-bin rows through both layers and returns every firing mask.
 eval_unit, eval_all_pairs, SpikeTrace.raster (re-deriving recorded
 spikes from their bins) and the exhaustive verification all call it;
-the verification propagates one row per distinct potential, since
-rows with equal potentials fire every neuron alike.
+the verification propagates one row per aggregate firing class
+(AdderUnit.firing_class), since rows whose potentials no threshold
+separates fire every neuron alike.
 AdderUnit.winner_bin is the one path the controller ticks on; it skips
 the layers through the prefix property and is bit-identical to eval_bins.
 """
@@ -165,6 +166,8 @@ class AdderUnit:
         self._tick = (tuple(weights), thr_pos, thr_neg, self.zero_index)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
+        self._thr_pos_sorted = np.sort(thr_pos)
+        self._thr_neg_sorted = np.sort(thr_neg)
         self._weight_arrs = [np.asarray(w) for w in weights]
         self._build_reduce_wiring()
 
@@ -222,6 +225,19 @@ class AdderUnit:
         for p in range(1, len(self._weight_arrs)):
             s = s + self._weight_arrs[p][bins[:, p]]
         return s
+
+    def firing_class(self, s):
+        """Aggregate firing class of each potential in the array s, as one
+        integer per potential: the pair (thr_pos entries <= s, thr_neg
+        entries <= -s).  Equal classes mean no threshold lies between two
+        potentials, so every aggregate neuron (s >= thr_pos, -s >= thr_neg)
+        fires alike on them, whatever the order of the ladders; the
+        counts run over sorted copies, so the argument does not lean on
+        the prefix property.  The class changes only where s crosses a
+        threshold, so s takes at most pos_count + neg_count + 1 classes."""
+        pos = np.searchsorted(self._thr_pos_sorted, s, side="right")
+        neg = np.searchsorted(self._thr_neg_sorted, -s, side="right")
+        return pos * (self.neg_count + 1) + neg
 
     def eval_bins(self, bins):
         """Literal spike propagation for a batch of input-bin rows.

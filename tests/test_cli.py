@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spikepid.cli import main
+from spikepid.cli import STEP_FLAGS, main
 from spikepid.controller import build_npid
 from spikepid.harness import step_experiment
 from spikepid.netlist import Netlist
@@ -207,6 +207,7 @@ def placeholders(tmp_path):
     (["export-netlist", "--neurons", "15", "--out", "NO_DIR/net.npz"], "NO_DIR"),
     (["run", "--rate", "1e308"], "duration"),
     (["sweep", "--rate", "1e308"], "duration"),
+    (["run", "--quantized", "maybe"], "--quantized"),
 ])
 def test_bad_value_exits_2_naming_it(capsys, placeholders, argv, name):
     for key, value in placeholders.items():
@@ -218,6 +219,14 @@ def test_bad_value_exits_2_naming_it(capsys, placeholders, argv, name):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: spikepid {argv[0]} ")
     assert name in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text,value", [
+    ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+    ("false", False), ("False", False), ("0", False), ("NO", False),
+])
+def test_quantized_flag_reads_each_spelling(text, value):
+    assert STEP_FLAGS["--quantized"][1]["type"](text) is value
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,11 @@
-"""Value-grid construction, encoding and decoding."""
+"""Value-grid construction and encoding."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spikepid.grids import ValueGrid, decode, encode, make_grid
+from spikepid.grids import encode, make_grid
 
 
 class TestMakeGrid:
@@ -67,10 +67,6 @@ class TestMakeGrid:
         assert central == pytest.approx(0.0255, abs=2e-4)
         assert central < uniform_gap
 
-    def test_round_trip_through_dict(self):
-        g = make_grid(-0.5, 0.5, 9, "quadratic")
-        assert ValueGrid.from_dict(g.to_dict()) == g
-
 
 class TestEncode:
     def test_nearest_bin(self):
@@ -103,26 +99,10 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(g, float("nan"))
 
-
-class TestDecode:
-    def test_endpoint(self):
-        g = make_grid(0, 4, 15)
-        assert decode(g, 14) == 4.0
-
-    def test_quadratic_interior(self):
-        g = make_grid(-1.25, 1.25, 15, "quadratic")
-        assert decode(g, 8) == pytest.approx(0.02551, abs=1e-5)
-
-    def test_out_of_range_index_rejected(self):
-        g = make_grid(0, 1, 5)
-        for bad in (-1, 5, 100):
-            with pytest.raises(IndexError):
-                decode(g, bad)
-
     def test_round_trip_on_members(self):
         g = make_grid(-1, 1, 7, "quadratic")
         for v in g.values:
-            assert decode(g, encode(g, v)) == v
+            assert g.values[encode(g, v)] == v
 
 
 @st.composite
@@ -139,7 +119,7 @@ class TestProperties:
     @given(grids(), st.floats(min_value=-1.0, max_value=1.0))
     def test_round_trip_error_bounded_by_half_largest_gap(self, g, frac):
         x = frac * g.hi
-        err = abs(decode(g, encode(g, x)) - x)
+        err = abs(g.values[encode(g, x)] - x)
         assert err <= max(g.gaps()) / 2 + 1e-12
 
     @given(grids(), st.lists(st.floats(min_value=-2.0, max_value=2.0),

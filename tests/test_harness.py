@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from spikepid import harness
 from spikepid.grids import make_grid
 from spikepid.harness import (
     AdderCheckReport,
@@ -24,7 +25,7 @@ from spikepid.harness import (
 )
 from spikepid.plant import PlantParams
 from spikepid.reference import round_to_grid
-from spikepid.units import build_adder
+from spikepid.units import AdderUnit, build_adder
 
 
 class TestRunStepResponse:
@@ -93,7 +94,7 @@ class TestRunStepResponse:
         ("duration", 1e308),  # finite, but 1e308 s x 70 Hz ticks is inf
         ("rate", -70.0), ("rate", math.nan), ("rate", 0.0),
         ("physics_substeps", 0), ("physics_substeps", 10.0),
-        ("setpoint", math.nan), ("setpoint", math.inf),
+        ("setpoint", math.nan), ("setpoint", math.inf), ("setpoint", -0.5),
         ("sensor_quantum", 0.0), ("sensor_quantum", math.nan),
         ("sensor_window", 0), ("sensor_window", 1.5),
         ("battery_beta", -0.01), ("battery_beta", math.nan),
@@ -247,7 +248,7 @@ class TestVerifyAdder:
     @pytest.mark.parametrize("hi", [1.25, 1.0, 0.37])
     def test_distinct_potentials_report_equals_brute_force(self, n, dist, mode,
                                                            quantized, hi):
-        """Propagating one pair per distinct potential loses nothing:
+        """Propagating one pair per aggregate firing class loses nothing:
         every report field but the time equals the all-pairs report."""
         rep = asdict(verify_adder(n, dist, mode, quantized=quantized, lo=-hi, hi=hi))
         want = asdict(self.brute_force_report(n, dist, mode, quantized, hi))
@@ -256,16 +257,50 @@ class TestVerifyAdder:
 
     def test_brute_force_comparison_covers_ties_and_mismatches(self):
         """The grids above make many pairs share a potential (on the
-        uniform grid over [-1, 1], i + j fixes the sum), and some
-        quantized configs miss the oracle, so both the class expansion
-        and the row-major mismatch list are exercised."""
+        uniform grid over [-1, 1], i + j fixes the sum), many distinct
+        potentials share a firing class (float weights on the quadratic
+        grid), and some quantized configs miss the oracle, so the class
+        expansion at both levels and the row-major mismatch list are
+        exercised."""
+        pairs = [(i, j) for i in range(31) for j in range(31)]
         g_in = make_grid(-1.0, 1.0, 31)
         unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)],
                            make_grid(-2.0, 2.0, 61))
-        pairs = [(i, j) for i in range(31) for j in range(31)]
         assert len(set(unit.potentials(pairs).tolist())) < len(pairs) / 4
+        g_in = make_grid(-1.25, 1.25, 31, "quadratic")
+        unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)],
+                           make_grid(-2.5, 2.5, 61, "quadratic"))
+        s = unit.potentials(pairs)
+        assert len(set(unit.firing_class(s).tolist())) < len(set(s.tolist())) / 2
         rep = verify_adder(31, "quadratic", "nearest", quantized=True, lo=-0.37, hi=0.37)
         assert len(rep.mismatches) == 10
+
+    def test_out_of_order_ladder_is_caught(self, monkeypatch):
+        """Firing classes count thresholds over sorted copies of the
+        ladders, so they do not assume the prefix property the check is
+        there to test: with two thr_pos entries swapped, the potentials
+        between them still get their own class, their reduce layer
+        fires two winners, and verify_adder raises eval_bins' error on a
+        row that eval_bins alone rejects too."""
+        built = []
+
+        def swapped(inputs, output, **kwargs):
+            u = build_adder(inputs, output, **kwargs)
+            thr_pos = list(u.thr_pos)
+            thr_pos[3], thr_pos[4] = thr_pos[4], thr_pos[3]
+            built.extend([u, AdderUnit(u.name, u.inputs, u.output, u.mode, u.quantized,
+                                       u.scale, u.weights, thr_pos, u.thr_neg)])
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_adder", swapped)
+        with pytest.raises(AssertionError, match="produced 2 winners") as exc:
+            verify_adder(15, "uniform", "nearest")
+        row = json.loads(re.search(r"input bins (\[.*\])", str(exc.value)).group(1))
+        with pytest.raises(AssertionError, match="produced 2 winners"):
+            built[1].eval_bins([row])
+        # The classes are those of the ordered ladder, potential for potential.
+        s = built[0].potentials([(i, j) for i in range(15) for j in range(15)])
+        assert (built[1].firing_class(s) == built[0].firing_class(s)).all()
 
     def test_report_summary_format(self):
         rep = verify_adder(15, "uniform", "floor")

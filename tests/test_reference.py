@@ -56,6 +56,19 @@ class TestPidStep:
                              clamp=(-1.25, 1.25))
         assert u_clamped == 1.25
 
+    def test_lower_clamp(self):
+        u = pid_step(PidState(), -1.5, 0.0, DT, GAINS, clamp=(-1.25, 1.25))
+        assert u == -1.25
+
+    def test_integral_leak(self):
+        """lam < 1 shrinks the integral before each step adds e * dt, so a
+        constant error sums a geometric series, not a straight line."""
+        st = PidState()
+        for _ in range(10):
+            u = pid_step(st, 1.0, 0.0, DT, GAINS, lam=0.5)
+        assert st.integral == pytest.approx((1 - 0.5 ** 10) / (1 - 0.5) * DT)
+        assert u == pytest.approx(GAINS.kp + GAINS.ki * st.integral)
+
     def test_no_derivative_kick_on_first_step(self):
         st = PidState()
         pid_step(st, 1.5, 0.0, DT, GAINS)
