@@ -201,7 +201,12 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     over_pct = 100.0 * over / step if step != 0 else 0.0
 
     tail = max(1, int(round(1.0 / dt)))  # the last second
-    sse = abs(sp - sum(z[-tail:]) / len(z[-tail:]))
+    # Left to right, not sum(): from Python 3.12 it compensates float
+    # sums, which would move the metric with the interpreter version.
+    total = 0.0
+    for zz in z[-tail:]:
+        total += zz
+    sse = abs(sp - total / len(z[-tail:]))
 
     out_hi = cfg.npid.output_grid.hi
     sat = sum(1 for u in trace.u_newton if abs(u) >= out_hi) / n
@@ -313,12 +318,9 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     The canonical setup adds two populations on [lo, hi] into an output
     grid spanning the full sum range with 2n-1 values.  The oracle bins
     come from round_to_grid on the summed grid values; the oracle never
-    touches the spiking path.  Pairs in one aggregate firing class
-    (AdderUnit.firing_class: no threshold between their potentials) fire
-    every neuron alike, so AdderUnit.eval_bins runs on one row per
-    class, the first pair of the class in row-major order, and its
-    winner stands for the rest; every pair is still compared with the
-    oracle.
+    touches the spiking path.  The spiking bins come from
+    AdderUnit.eval_all_pairs, which propagates one pair per aggregate
+    firing class; every pair is still compared with the oracle.
     """
     if n > 1001:
         raise ValueError("n must be <= 1001, as verification enumerates n^2 "
@@ -329,20 +331,7 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
     unit = build_adder([(g_in, 1, 1.0), (g_in, 1, 1.0)], g_out,
                        mode=mode, quantized=quantized, name="check")
 
-    # Every pair (i, j) in row-major order; int16 holds any bin of n <= 1001
-    # and keeps the array at 4 MB there.
-    pairs = np.indices((n, n), dtype=np.int16).reshape(2, -1).T
-    key = unit.firing_class(unit.potentials(pairs))
-    # The smallest pair index of each class; minimum is order-free, so the
-    # representative does not depend on the order of the scatter.
-    first = np.full(key.max() + 1, len(key))
-    np.minimum.at(first, key, np.arange(len(key)))
-    present = first < len(key)
-    # At most pos_count + neg_count + 1 = 2n + 1 classes (firing_class), so
-    # one eval_bins call takes them all.
-    winners = unit.eval_bins(pairs[first[present]])[0]
-    got = winners[np.cumsum(present)[key] - 1]
-    del key, first  # 16 MB at n=1001, freed before the oracle's own peak
+    got = unit.eval_all_pairs().ravel()
     vals = np.asarray(g_in.values)
     want = round_to_grid(g_out, np.add.outer(vals, vals).ravel(), mode)
     dev = np.abs(got - want)
@@ -559,8 +548,10 @@ def load_config(path) -> ExperimentConfig:
         if name not in grids:
             return spec
         g = _object(grids.pop(name), f"grids.{name}")
-        lo, hi = g.pop("range")
-        spec = GridSpec(lo, hi, g.pop("n", spec.n),
+        lo_hi = g.pop("range", [spec.lo, spec.hi])
+        if not isinstance(lo_hi, list) or len(lo_hi) != 2:
+            raise ValueError(f"grids.{name}.range must be a list [lo, hi], got {lo_hi!r}")
+        spec = GridSpec(*lo_hi, g.pop("n", spec.n),
                         g.pop("distribution", spec.distribution))
         _no_leftovers(g, f"grids.{name}.")
         return spec

@@ -23,11 +23,11 @@ and an implicit factor 2); thresholds quantize to plain integers.
 
 AdderUnit.eval_bins is the one literal propagation: it evaluates a batch
 of input-bin rows through both layers and returns every firing mask.
-eval_unit, eval_all_pairs, SpikeTrace.raster (re-deriving recorded
-spikes from their bins) and the exhaustive verification all call it;
-the verification propagates one row per aggregate firing class
-(AdderUnit.firing_class), since rows whose potentials no threshold
-separates fire every neuron alike.
+eval_unit, eval_all_pairs and SpikeTrace.raster (re-deriving recorded
+spikes from their bins) call it.  AdderUnit.eval_all_pairs is the one
+exhaustive path, for any number of inputs: it propagates one row per
+aggregate firing class (AdderUnit.firing_class), since rows whose
+potentials no threshold separates fire every neuron alike.
 AdderUnit.winner_bin is the one path the controller ticks on; it skips
 the layers through the prefix property and is bit-identical to eval_bins.
 """
@@ -166,8 +166,8 @@ class AdderUnit:
         self._tick = (tuple(weights), thr_pos, thr_neg, self.zero_index)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
-        self._thr_pos_sorted = np.sort(thr_pos)
-        self._thr_neg_sorted = np.sort(thr_neg)
+        self._ladder = np.sort(np.concatenate(
+            [thr_pos, np.nextafter(np.negative(thr_neg), np.inf)]))
         self._weight_arrs = [np.asarray(w) for w in weights]
         self._build_reduce_wiring()
 
@@ -227,17 +227,17 @@ class AdderUnit:
         return s
 
     def firing_class(self, s):
-        """Aggregate firing class of each potential in the array s, as one
-        integer per potential: the pair (thr_pos entries <= s, thr_neg
-        entries <= -s).  Equal classes mean no threshold lies between two
-        potentials, so every aggregate neuron (s >= thr_pos, -s >= thr_neg)
-        fires alike on them, whatever the order of the ladders; the
-        counts run over sorted copies, so the argument does not lean on
-        the prefix property.  The class changes only where s crosses a
-        threshold, so s takes at most pos_count + neg_count + 1 classes."""
-        pos = np.searchsorted(self._thr_pos_sorted, s, side="right")
-        neg = np.searchsorted(self._thr_neg_sorted, -s, side="right")
-        return pos * (self.neg_count + 1) + neg
+        """Aggregate firing class of each potential in the array s: how
+        many entries of one sorted merged ladder are <= s, an integer in
+        [0, pos_count + neg_count].  The ladder holds each thr_pos entry
+        (where a pos neuron starts firing) and each nextafter(-thr_neg,
+        inf) (the least s where a neg neuron, -s >= thr, stops), so the
+        count is pos firing + neg_count - neg firing.  Both parts are
+        monotone in s, so equal counts mean no threshold lies between two
+        potentials and every aggregate neuron fires alike on them; the
+        ladder is sorted, so this holds whatever the order of thr_pos and
+        thr_neg and does not lean on the prefix property."""
+        return np.searchsorted(self._ladder, s, side="right")
 
     def eval_bins(self, bins):
         """Literal spike propagation for a batch of input-bin rows.
@@ -291,10 +291,22 @@ class AdderUnit:
 
     def eval_all_pairs(self):
         """Spiking evaluation of every input-bin combination: an array of
-        output bins shaped by the input sizes."""
+        output bins shaped by the input sizes.  Rows of one firing_class
+        fire every neuron alike, so eval_bins runs once, on each class's
+        first row, in row-major order (a reduce error names the row a
+        row-by-row pass would), and its winner stands for the rest."""
         sizes = [spec.grid.n for spec in self.inputs]
-        bins = np.indices(sizes).reshape(len(sizes), -1).T
-        return self.eval_bins(bins)[0].reshape(sizes)
+        rows = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
+        rows = rows.reshape(len(sizes), -1).T
+        key = self.firing_class(self.potentials(rows))
+        # minimum is order-free, so the representative does not depend on
+        # the order of the scatter; absent classes keep len(key).
+        first = np.full(self.pos_count + self.neg_count + 1, len(key))
+        np.minimum.at(first, key, np.arange(len(key)))
+        reps = np.sort(first[first < len(key)])
+        winners = np.empty(len(first), dtype=np.intp)
+        winners[key[reps]] = self.eval_bins(rows[reps])[0]
+        return winners[key].reshape(sizes)
 
     # -- netlist pieces ----------------------------------------------------
 

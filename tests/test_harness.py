@@ -1,5 +1,6 @@
 """Experiment harness: runs, metrics, verification, emission."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -46,6 +47,28 @@ class TestRunStepResponse:
         assert len(trace) == 70
         assert trace.t[1] == cfg.npid.dt
         assert "rate" not in {f.name for f in fields(ExperimentConfig)}
+
+    def test_metrics_do_not_follow_the_interpreter_sum(self, monkeypatch):
+        """From Python 3.12, sum() compensates float sums (Neumaier).  The
+        metrics sum left to right themselves, so a run scores the same
+        under either sum."""
+        literal = builtins.sum
+
+        def compensated(items, start=0):
+            items = list(items)
+            if not all(isinstance(x, float) for x in items):
+                return literal(items, start)
+            s, c = float(start), 0.0
+            for x in items:
+                t = s + x
+                c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+                s = t
+            return s + c
+
+        cfg = step_experiment(setpoint=3.5, n=15)
+        want = run_step_response(cfg)[1]
+        monkeypatch.setattr(builtins, "sum", compensated)
+        assert run_step_response(cfg)[1] == want
 
     def test_settles_into_band(self):
         cfg = step_experiment(setpoint=1.5, n=151)
@@ -379,7 +402,8 @@ class TestConfigFile:
         cfg_json = {
             "gains": {"kp": 0.9, "ti": 0.2, "td": 2.0},
             "grids": {"n": 31, "distribution": "quadratic",
-                      "output": {"range": [-1.0, 1.0]}},
+                      "output": {"range": [-1.0, 1.0]},
+                      "error": {"distribution": "uniform"}},
             "plant": {"mass": 0.5, "drag": 0.1},
             "sensor": {"quantum": 0.02, "window": 3},
             "experiment": {"setpoint": 2.5, "duration": 10.0, "decay": 0.9,
@@ -391,6 +415,8 @@ class TestConfigFile:
         assert cfg.npid.gains.kp == 0.9
         assert cfg.npid.output_grid.n == 31
         assert cfg.npid.output_grid.hi == 1.0
+        stock = step_experiment(n=31, distribution="quadratic").npid.error_grid
+        assert cfg.npid.error_grid == replace(stock, distribution="uniform")  # no range
         assert cfg.plant.mass == 0.5
         assert cfg.sensor_quantum == 0.02
         assert cfg.setpoint == 2.5
@@ -421,6 +447,13 @@ class TestConfigFile:
         p = tmp_path / "cfg.json"
         p.write_text('{"plant": {"drag": NaN}}')
         with pytest.raises(ValueError, match=r"^plant\.drag must be finite"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value", [5, [1.0], [-1.0, 0.0, 1.0], {"lo": -1, "hi": 1}])
+    def test_grid_range_that_is_not_a_pair_rejected_by_name(self, tmp_path, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"grids": {"error": {"range": value}}}))
+        with pytest.raises(ValueError, match=r"^grids\.error\.range must be a list"):
             load_config(p)
 
     @pytest.mark.parametrize("raw,name", [

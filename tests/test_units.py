@@ -1,12 +1,17 @@
 """Spiking adder units: construction, propagation, quantization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikepid.controller import build_npid, default_config
 from spikepid.grids import make_grid
+from spikepid.harness import step_experiment
 from spikepid.reference import _StageModel, round_to_grid
 from spikepid.units import (
+    AdderUnit,
     build_adder,
     choose_scale,
     eval_unit,
@@ -284,6 +289,93 @@ class TestOracleEquivalence:
     def test_quantized_within_one_bin(self, mode):
         _oracle_check(15, "uniform", mode, quantized=True, tol=1)
         _oracle_check(15, "quadratic", mode, quantized=True, tol=1)
+
+
+def _one_and_two_input_units():
+    g = make_grid(-1.25, 1.25, 15, "quadratic")
+    out = make_grid(-2.5, 2.5, 29, "quadratic")
+    return [build_adder([(g, -1, 0.8)], out, name="one"),
+            build_adder([(g, -1, 1.0), (g, -1, 1.0)], out, name="negated"),
+            build_adder([(g, -1, 1.0), (g, -1, 1.0)], out, quantized=True,
+                        name="negated-q")]
+
+
+# 1-, 2- and 3-input units: small hand-built ones (two with both inputs
+# negated) and the three units of two controllers.
+EXHAUSTIVE_UNITS = {
+    "small": _one_and_two_input_units,
+    "npid-n15": lambda: build_npid(default_config(n=15)).units,
+    "npid-n63-quadratic-quantized": lambda: build_npid(step_experiment(
+        n=63, distribution="quadratic", quantized=True).npid).units,
+}
+
+
+def _all_rows(unit):
+    sizes = [spec.grid.n for spec in unit.inputs]
+    return np.indices(sizes).reshape(len(sizes), -1).T
+
+
+@pytest.mark.parametrize("units", EXHAUSTIVE_UNITS.values(), ids=EXHAUSTIVE_UNITS)
+class TestEvalAllPairs:
+    def test_equals_eval_bins_on_every_row(self, units):
+        for unit in units():
+            got = unit.eval_all_pairs()
+            assert got.shape == tuple(spec.grid.n for spec in unit.inputs)
+            assert np.array_equal(got.ravel(), unit.eval_bins(_all_rows(unit))[0])
+
+    def test_one_eval_bins_call_per_class(self, units, monkeypatch):
+        batches = []
+        literal = AdderUnit.eval_bins
+        monkeypatch.setattr(
+            AdderUnit, "eval_bins",
+            lambda self, bins: batches.append(len(bins)) or literal(self, bins))
+        for unit in units():
+            batches.clear()
+            unit.eval_all_pairs()
+            assert len(batches) == 1
+            assert batches[0] <= unit.pos_count + unit.neg_count + 1
+
+    def test_classes_are_the_aggregate_firing_patterns(self, units):
+        """firing_class stays in [0, pos_count + neg_count] and two rows
+        share a class exactly when every aggregate neuron fires alike."""
+        for unit in units():
+            rows = _all_rows(unit)
+            key = unit.firing_class(unit.potentials(rows))
+            top = unit.pos_count + unit.neg_count
+            assert 0 <= key.min() and key.max() <= top
+            assert unit.firing_class(np.array([-np.inf, np.inf])).tolist() == [0, top]
+            _, pos, neg, _ = unit.eval_bins(rows)
+            masks = np.concatenate([pos, neg], axis=1)
+            classes, first, cls = np.unique(key, return_index=True, return_inverse=True)
+            assert (masks == masks[first[cls]]).all()
+            assert len(np.unique(masks[first], axis=0)) == len(classes)
+
+
+def test_negated_zero_row_sums_to_negative_zero():
+    """Both inputs negated: the zero row's potential is -0.0, which fires
+    the pos zero neuron and not the neg one, as +0.0 does."""
+    unit = _one_and_two_input_units()[1]
+    z = unit.inputs[0].grid.zero_index
+    s = unit.potentials([[z, z]])
+    assert s[0] == 0 and math.copysign(1.0, s[0]) < 0
+    assert unit.firing_class(s) == unit.firing_class(np.array([0.0]))
+    assert unit.eval_all_pairs()[z, z] == unit.zero_index
+
+
+def test_eval_all_pairs_names_the_first_bad_row():
+    """With two thr_pos entries swapped, eval_all_pairs raises the error
+    eval_bins raises on every row in row-major order, row for row."""
+    g = make_grid(-1.25, 1.25, 15)
+    u = build_adder([(g, 1, 1.0), (g, 1, 1.0)], make_grid(-2.5, 2.5, 29))
+    thr_pos = list(u.thr_pos)
+    thr_pos[3], thr_pos[4] = thr_pos[4], thr_pos[3]
+    u = AdderUnit(u.name, u.inputs, u.output, u.mode, u.quantized, u.scale,
+                  u.weights, thr_pos, u.thr_neg)
+    with pytest.raises(AssertionError, match="produced 2 winners") as literal:
+        u.eval_bins(_all_rows(u))
+    with pytest.raises(AssertionError) as exhaustive:
+        u.eval_all_pairs()
+    assert str(exhaustive.value) == str(literal.value)
 
 
 class TestStructuralProperties:
