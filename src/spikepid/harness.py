@@ -76,6 +76,8 @@ class ExperimentConfig:
         if self.controller not in ("npid", "baseline"):
             raise ValueError(
                 f"controller must be 'npid' or 'baseline', got {self.controller!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         # A finite duration over a tiny npid.dt can still be inf ticks,
         # which ticks cannot round.
         if not (0 < self.duration < math.inf
@@ -549,8 +551,11 @@ def load_config(path) -> ExperimentConfig:
             return spec
         g = _object(grids.pop(name), f"grids.{name}")
         lo_hi = g.pop("range", [spec.lo, spec.hi])
-        if not isinstance(lo_hi, list) or len(lo_hi) != 2:
-            raise ValueError(f"grids.{name}.range must be a list [lo, hi], got {lo_hi!r}")
+        if (not isinstance(lo_hi, list) or len(lo_hi) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in lo_hi)):
+            raise ValueError(f"grids.{name}.range must be a list [lo, hi] of two "
+                             f"numbers, got {lo_hi!r}")
         spec = GridSpec(*lo_hi, g.pop("n", spec.n),
                         g.pop("distribution", spec.distribution))
         _no_leftovers(g, f"grids.{name}.")

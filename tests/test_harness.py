@@ -121,6 +121,7 @@ class TestRunStepResponse:
         ("sensor_quantum", 0.0), ("sensor_quantum", math.nan),
         ("sensor_window", 0), ("sensor_window", 1.5),
         ("battery_beta", -0.01), ("battery_beta", math.nan),
+        ("label", 5),
     ])
     def test_config_rejected_at_construction_by_field(self, name, value):
         if name == "rate":  # step_experiment's argument, not a field
@@ -449,7 +450,8 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"^plant\.drag must be finite"):
             load_config(p)
 
-    @pytest.mark.parametrize("value", [5, [1.0], [-1.0, 0.0, 1.0], {"lo": -1, "hi": 1}])
+    @pytest.mark.parametrize("value", [5, [1.0], [-1.0, 0.0, 1.0], {"lo": -1, "hi": 1},
+                                       ["a", 1], [None, 1], [0, True]])
     def test_grid_range_that_is_not_a_pair_rejected_by_name(self, tmp_path, value):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"grids": {"error": {"range": value}}}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikepid.controller import build_npid, default_config
+from spikepid.harness import step_experiment
 from spikepid.grids import make_grid
 from spikepid.reference import (
     PidGains,
@@ -215,3 +216,62 @@ class TestOracle:
         cfg = default_config(n=15)
         with pytest.raises(ValueError):
             PidOracle(cfg.build_grids(), GAINS, DT, lam=1.5)
+
+
+def _oracle(cfg, grids=None):
+    return PidOracle(grids or cfg.build_grids(), cfg.gains, cfg.dt, lam=cfg.decay,
+                     mode=cfg.mode, quantized=cfg.quantized)
+
+
+class TestStageMaps:
+    """The error and integral stages are looked up in maps built once by
+    the array path; the control stage stays on the scalar bin."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("mode", ["floor", "nearest"])
+    @pytest.mark.parametrize("dist", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("n", [15, 63, 151])
+    def test_maps_equal_the_scalar_stage(self, n, dist, mode, quantized):
+        oracle = _oracle(default_config(n=n, distribution=dist, mode=mode,
+                                        quantized=quantized))
+        for stage, rows in ((oracle._err, oracle._err_map),
+                            (oracle._int, oracle._int_map)):
+            assert len(rows) == len(stage.tables[0])
+            for a, row in enumerate(rows):
+                assert len(row) == len(stage.tables[1])
+                for b in range(len(row)):
+                    got = row[b]
+                    assert type(got) is int
+                    assert got == stage.bin(a, b), (a, b)
+        st = oracle.fresh_state()
+        top = len(oracle._err_map) - 1
+        oracle.step_bins(st, top, 0, 0)
+        assert type(st.integral_bin) is int
+        assert st.integral_bin > oracle.grids.integral.zero_index
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_three_input_stage_map_equals_the_scalar_stage(self, quantized):
+        ctl = _oracle(default_config(n=15, quantized=quantized))._ctl
+        got = ctl.stage_map()
+        assert got.shape == (15, 15, 15)
+        for tup in np.ndindex(got.shape):
+            assert got[tup] == ctl.bin(*tup), tup
+
+
+# The 12 flown closed-loop configs and criterion 5's.
+_FLOWN = [step_experiment(n=n, distribution=dist, quantized=q).npid
+          for n in (15, 63, 151) for dist in ("uniform", "quadratic")
+          for q in (False, True)]
+_FLOWN += [default_config(n=15, decay=0.97, quantized=q) for q in (False, True)]
+
+
+@pytest.mark.parametrize("cfg", _FLOWN, ids=lambda c: (
+    f"n{c.error_grid.n}-{c.error_grid.distribution}-d{c.decay}"
+    f"-{'quantized' if c.quantized else 'float'}"))
+def test_two_input_stages_equal_the_spiking_units_on_every_tuple(cfg):
+    """Every (target, measurement) and (integral, error) tuple: the
+    oracle's map equals the unit's literal spike propagation."""
+    net = build_npid(cfg)
+    oracle = _oracle(cfg, net.grids)
+    assert np.array_equal(np.asarray(oracle._err_map), net.error_unit.eval_all_pairs())
+    assert np.array_equal(np.asarray(oracle._int_map), net.integral_unit.eval_all_pairs())
