@@ -125,6 +125,14 @@ def _boundary_ladders(grid: ValueGrid, mode: str):
         down = [(neg[k - 1] + neg[k]) / 2.0 for k in range(1, len(neg))]
     else:
         raise ValueError(f"unknown rounding mode {mode!r}")
+    # A boundary at 0.0 (nearest mode, when the magnitude next to zero
+    # halves to 0.0) would round 0.0 itself off the zero bin.
+    b = min(up + down, default=1.0)
+    if not b > 0:
+        raise ValueError(
+            f"{mode} boundary {b!r} of the grid [{grid.lo!r}, {grid.hi!r}] "
+            f"(n={grid.n}, {grid.distribution}) is not > 0, so 0.0 would "
+            f"not round to 0 (the values next to 0 lie too close to it)")
     return up, down
 
 
@@ -133,10 +141,22 @@ def _count_boundaries(zero: int, up, down, x):
     has reached, or, for negative x, zero minus the number of down
     boundaries -x has reached.  Clamping is implicit: the count saturates
     at the ladder's length.  x is a scalar (bisect over list ladders) or
-    a numpy array (searchsorted, same rule elementwise)."""
+    a numpy array.
+
+    The array form searches x once in one sorted merged ladder: each up
+    boundary plus, per down boundary d, nextafter(-d, inf), the least x
+    with -x < d (the rule AdderUnit.firing_class uses).  So the count is
+    the up boundaries reached plus the down boundaries -x has not
+    reached, and zero - len(down) plus it is the scalar rule's bin,
+    provided every boundary is > 0 (_boundary_ladders checks this): then
+    x >= 0 passes every merged down entry and no up entry lies below 0.
+    """
     if isinstance(x, np.ndarray):
-        return np.where(x >= 0, zero + np.searchsorted(up, x, side="right"),
-                        zero - np.searchsorted(down, -x, side="right"))
+        ladder = np.sort(np.concatenate(
+            [up, np.nextafter(np.negative(down), np.inf)]))
+        bins = np.searchsorted(ladder, x, side="right")
+        bins += zero - len(down)
+        return bins
     if x >= 0:
         return zero + bisect_right(up, x)
     return zero - bisect_right(down, -x)
@@ -221,9 +241,10 @@ class PidOracle:
     _StageModel.stage_map, N^2 entries each, kept as one memoryview per
     first-input bin over the narrowest unsigned dtype (uint8 up to 256
     bins), so a lookup returns a Python int.  That costs O(N^2) time and
-    memory: a build takes about 3-5 ms and 1 MB of temporaries at N=151,
-    and 70-100 ms and 35 MB of temporaries at N=1001, where the two maps
-    keep 2 MB each (2-vCPU Xeon, Python 3.11, numpy 2.4).  The control
+    memory: a build takes about 1-2 ms and 1 MB of temporaries at N=151,
+    and 50-62 ms and 19 MB (float) or 26 MB (quantized) of temporaries at
+    N=1001, where the two maps keep 2 MB each (2-vCPU Xeon, Python 3.11,
+    numpy 2.4; medians of 7 builds, peak RSS rise).  The control
     stage, N^3 tuples (3.4 million at N=151), is computed per tick by
     _StageModel.bin.
     """

@@ -291,21 +291,27 @@ class AdderUnit:
 
     def eval_all_pairs(self):
         """Spiking evaluation of every input-bin combination: an array of
-        output bins shaped by the input sizes.  Rows of one firing_class
-        fire every neuron alike, so eval_bins runs once, on each class's
-        first row, in row-major order (a reduce error names the row a
-        row-by-row pass would), and its winner stands for the rest."""
+        output bins shaped by the input sizes.  The potentials of all
+        combinations are the weight rows summed left to right by
+        broadcasting, the adds potentials makes in the same order.  Rows
+        of one firing_class fire every neuron alike, so eval_bins runs
+        once, on each class's first row in row-major order (a reduce
+        error names the row a row-by-row pass would), and its winner
+        stands for the rest; input-bin rows are built for those
+        representatives only."""
         sizes = [spec.grid.n for spec in self.inputs]
-        rows = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
-        rows = rows.reshape(len(sizes), -1).T
-        key = self.firing_class(self.potentials(rows))
+        s = self._weight_arrs[0]
+        for w in self._weight_arrs[1:]:
+            s = s[..., None] + w
+        key = self.firing_class(s.ravel())
         # minimum is order-free, so the representative does not depend on
         # the order of the scatter; absent classes keep len(key).
         first = np.full(self.pos_count + self.neg_count + 1, len(key))
         np.minimum.at(first, key, np.arange(len(key)))
         reps = np.sort(first[first < len(key)])
         winners = np.empty(len(first), dtype=np.intp)
-        winners[key[reps]] = self.eval_bins(rows[reps])[0]
+        rows = np.stack(np.unravel_index(reps, sizes), axis=1)
+        winners[key[reps]] = self.eval_bins(rows)[0]
         return winners[key].reshape(sizes)
 
     # -- netlist pieces ----------------------------------------------------
@@ -373,6 +379,15 @@ def _aggregate_thresholds(output: ValueGrid, mode: str):
         ]
     else:
         raise ValueError(f"unknown rounding mode {mode!r}")
+    # A magnitude threshold at 0.0 (nearest mode, when the magnitude next
+    # to zero halves to 0.0) would fire on a zero sum and win over zero.
+    t = min(thr_pos[1:] + thr_neg[1:], default=1.0)
+    if not t > 0:
+        raise ValueError(
+            f"{mode} threshold {t!r} of the output grid [{output.lo!r}, "
+            f"{output.hi!r}] (n={output.n}, {output.distribution}) is not "
+            f"> 0, so a zero sum would not win the zero bin (the values "
+            f"next to 0 lie too close to it)")
     return thr_pos, thr_neg
 
 

@@ -1,5 +1,7 @@
 """Conventional PID and the bin-level arithmetic oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from spikepid.reference import (
     PidOracle,
     PidState,
     QuantPidState,
+    _boundary_ladders,
+    _count_boundaries,
     pid_step,
     round_to_grid,
 )
@@ -121,12 +125,23 @@ class TestRoundToGrid:
         g = make_grid(1, 3, 3)
         with pytest.raises(ValueError):
             round_to_grid(g, 1.5)
+        # Nearest mode halves 5e-324 to a 0.0 boundary, which would round
+        # 0.0 itself off the zero bin; floor mode keeps 5e-324.
+        tiny = make_grid(-5e-324, 5e-324, 3)
+        for x in (0.0, np.array([0.0])):
+            with pytest.raises(ValueError, match=r"^nearest boundary 0\.0 of the "
+                                                 r"grid \[-5e-324, 5e-324\]"):
+                round_to_grid(tiny, x, "nearest")
+        assert round_to_grid(tiny, 0.0, "floor") == 1
 
     @pytest.mark.parametrize("mode", ["floor", "nearest"])
     @pytest.mark.parametrize("dist", ["uniform", "quadratic"])
     def test_array_equals_scalar_calls(self, mode, dist):
         """The array form applies the scalar rule elementwise, on exact
-        boundaries, out-of-range values and signed zero too."""
+        boundaries, out-of-range values and signed zero too.  Besides a
+        small grid, it is checked around every boundary of verify_adder's
+        n=151 output grid and of every stage of the flown configs on this
+        grid and mode, float and quantized."""
         g = make_grid(-2, 2, 9, dist)
         vals = np.asarray(g.values)
         mids = (vals[1:] + vals[:-1]) / 2
@@ -136,6 +151,26 @@ class TestRoundToGrid:
         assert got.dtype == np.int64
         assert got.tolist() == [round_to_grid(g, v, mode) for v in x.tolist()]
         assert round_to_grid(g, np.array([-0.0]), mode)[0] == g.zero_index
+
+        out = make_grid(-2.5, 2.5, 301, dist)
+        ladders = [(out.zero_index, *_boundary_ladders(out, mode))]
+        for cfg in _FLOWN:
+            if cfg.mode == mode and cfg.error_grid.distribution == dist:
+                oracle = _oracle(cfg)
+                ladders += [(s.zero, s.up, s.down)
+                            for s in (oracle._err, oracle._int, oracle._ctl)]
+        for zero, up, down in ladders:
+            b = np.concatenate([up, down])
+            xs = [np.concatenate([b, -b, np.nextafter(b, np.inf), np.nextafter(-b, -np.inf),
+                                  np.nextafter(b, 0), np.nextafter(-b, 0),
+                                  [-0.0, 0.0, 1e9, -1e9, np.inf, -np.inf]])]
+            if b.dtype.kind == "i":  # quantized sums are int64 arrays
+                xs.append(np.concatenate([b - 1, b, b + 1, 1 - b, -b, -1 - b]))
+            for x in xs:
+                got = _count_boundaries(zero, up, down, x)
+                assert got.dtype == np.int64
+                assert got.tolist() == [_count_boundaries(zero, up, down, v)
+                                        for v in x.tolist()]
 
 
 class TestOracle:
@@ -250,6 +285,23 @@ class TestStageMaps:
         assert st.integral_bin > oracle.grids.integral.zero_index
 
     @pytest.mark.parametrize("quantized", [False, True])
+    def test_build_temporaries_stay_below_four_n_squared_doubles(self, quantized):
+        """The array count searches each stage's sums once, with no
+        sign-split copies, so an N=1001 build's traced peak stays below
+        four N^2 float64 arrays (numpy reports its buffers to
+        tracemalloc, so the reading repeats exactly)."""
+        cfg = default_config(n=1001, quantized=quantized)
+        grids = cfg.build_grids()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _oracle(cfg, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1001 ** 2 * 8
+
+    @pytest.mark.parametrize("quantized", [False, True])
     def test_three_input_stage_map_equals_the_scalar_stage(self, quantized):
         ctl = _oracle(default_config(n=15, quantized=quantized))._ctl
         got = ctl.stage_map()
@@ -263,9 +315,13 @@ _FLOWN = [step_experiment(n=n, distribution=dist, quantized=q).npid
           for n in (15, 63, 151) for dist in ("uniform", "quadratic")
           for q in (False, True)]
 _FLOWN += [default_config(n=15, decay=0.97, quantized=q) for q in (False, True)]
+# The step response's controller at N=1001, the resolution
+# test_high_resolution_matches_continuous_pid flies.
+_HIGH_RES = [step_experiment(n=1001, distribution=dist, quantized=q).npid
+             for dist in ("uniform", "quadratic") for q in (False, True)]
 
 
-@pytest.mark.parametrize("cfg", _FLOWN, ids=lambda c: (
+@pytest.mark.parametrize("cfg", _FLOWN + _HIGH_RES, ids=lambda c: (
     f"n{c.error_grid.n}-{c.error_grid.distribution}-d{c.decay}"
     f"-{'quantized' if c.quantized else 'float'}"))
 def test_two_input_stages_equal_the_spiking_units_on_every_tuple(cfg):

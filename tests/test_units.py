@@ -145,6 +145,13 @@ class TestBuildAdder:
         bad_out = make_grid(1, 3, 3)
         with pytest.raises(ValueError):
             build_adder([(g, 1, 1.0)], bad_out)
+        # Nearest mode halves 5e-324 to a 0.0 threshold, which a zero sum
+        # would reach, so zero would not win.
+        tiny = make_grid(-5e-324, 5e-324, 3)
+        for quantized in (False, True):
+            with pytest.raises(ValueError, match=r"^nearest threshold 0\.0 of the "
+                                                 r"output grid \[-5e-324, 5e-324\]"):
+                build_adder([(tiny, 1, 1.0)], tiny, quantized=quantized)
 
     def test_bad_sign_rejected(self):
         g = make_grid(-1, 1, 3)
