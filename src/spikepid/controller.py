@@ -18,6 +18,13 @@ saturating winner-takes-all cannot leave the grid.
 
 With every population at resolution N the three units hold 6N + 3
 neurons, plus 3N input neurons (target, measurement, derivative).
+
+A tick reads the error and integral units' outputs from maps that hold
+every input pair, built once per network by AdderUnit.eval_all_pairs
+(the literal propagation, once per aggregate firing class) at O(N^2)
+time and memory, as PidOracle builds its own.  The control unit's N^3
+input tuples are too many to store, so it ticks on
+AdderUnit.winner_bin.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import ValueGrid, check_grid, encode, make_grid
+from .grids import ValueGrid, bin_rows, check_grid, encode, make_grid
 from .netlist import Netlist, export_netlist, neuron_columns
 from .reference import PidGains
 from .units import MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
@@ -264,6 +271,9 @@ class NpidNetwork:
             self.grids.output, mode=mode, quantized=quant, name="control",
         )
         self.units = (self.error_unit, self.integral_unit, self.control_unit)
+        self._err_map = bin_rows(self.error_unit.eval_all_pairs(), self.grids.error)
+        self._int_map = bin_rows(self.integral_unit.eval_all_pairs(),
+                                 self.grids.integral)
 
         # The input populations, in netlist and raster order.
         self._inputs = {"target": tm, "measurement": tm,
@@ -279,14 +289,16 @@ class NpidNetwork:
 
     def step(self, target: float, measurement: float, derivative: float) -> float:
         """Encode the inputs, run one tick through the three units and
-        return the decoded thrust offset in Newtons.  The integral unit
-        reads last tick's integral bin through its delay-1 edge."""
+        return the decoded thrust offset in Newtons.  The error and
+        integral bins are read from the units' stored maps, the control
+        bin from the control unit's winner_bin.  The integral unit reads
+        last tick's integral bin through its delay-1 edge."""
         tm, grids = self.grids.target_measurement, self.grids
         t_bin = encode(tm, target)
         m_bin = encode(tm, measurement)
         d_bin = encode(grids.derivative, derivative)
-        e_bin = self.error_unit.winner_bin(t_bin, m_bin)
-        i_bin = self.integral_unit.winner_bin(self.integral_bin, e_bin)
+        e_bin = self._err_map[t_bin][m_bin]
+        i_bin = self._int_map[self.integral_bin][e_bin]
         u_bin = self.control_unit.winner_bin(e_bin, i_bin, d_bin)
         self.integral_bin = i_bin
         u = grids.output.values[u_bin]
@@ -315,6 +327,14 @@ class NpidNetwork:
         unit = sum(u.neuron_count for u in self.units)
         inputs = 2 * self.grids.target_measurement.n + self.grids.derivative.n
         return unit, inputs
+
+    @property
+    def integral_parking_set(self) -> tuple[int, ...]:
+        """The integral bins i that the integral unit maps to themselves at
+        the zero error bin: once there, with no error left to drain it,
+        the integral stays, so the loop can settle on any of them."""
+        z = self.grids.error.zero_index
+        return tuple(i for i, row in enumerate(self._int_map) if row[z] == i)
 
     def record_raster(self, on: bool, raster: bool = True) -> None:
         """Start a new trace or stop recording.  While on, every tick

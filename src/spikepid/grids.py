@@ -14,7 +14,9 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["ValueGrid", "check_grid", "make_grid", "encode"]
+import numpy as np
+
+__all__ = ["ValueGrid", "check_grid", "make_grid", "encode", "bin_rows"]
 
 UNIFORM = "uniform"
 QUADRATIC = "quadratic"
@@ -144,3 +146,14 @@ def encode(grid: ValueGrid, x: float) -> int:
     # bisect_left on midpoints: x == boundary[i] lands at bin i, which
     # realizes the tie-toward-lower-index rule; clamping is implicit.
     return bisect_left(grid._boundaries, x)
+
+
+def bin_rows(bins, grid: ValueGrid) -> list[memoryview]:
+    """A 2-d array of bins of grid as one read-only memoryview per row,
+    over a copy in the narrowest unsigned dtype that holds every bin
+    (uint8 up to 256 bins), so indexing a row returns a Python int and
+    assigning into one raises TypeError.  This is the format of the
+    two-input stage maps that PidOracle and NpidNetwork tick on."""
+    rows = np.asarray(bins).astype(np.min_scalar_type(grid.n - 1))
+    rows.flags.writeable = False
+    return [memoryview(row) for row in rows]

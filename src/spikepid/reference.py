@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ValueGrid, encode
+from .grids import ValueGrid, bin_rows, encode
 from .units import choose_scale, quantize_weight, round_half_away
 
 __all__ = [
@@ -144,16 +144,23 @@ def _count_boundaries(zero: int, up, down, x):
     a numpy array.
 
     The array form searches x once in one sorted merged ladder: each up
-    boundary plus, per down boundary d, nextafter(-d, inf), the least x
-    with -x < d (the rule AdderUnit.firing_class uses).  So the count is
-    the up boundaries reached plus the down boundaries -x has not
-    reached, and zero - len(down) plus it is the scalar rule's bin,
-    provided every boundary is > 0 (_boundary_ladders checks this): then
-    x >= 0 passes every merged down entry and no up entry lies below 0.
+    boundary plus, per down boundary d, the least x with -x < d, which
+    is nextafter(-d, inf) (the rule AdderUnit.firing_class uses) or, for
+    integer x on integer ladders (quantized stages), 1 - d; that keeps
+    the ladder in x's dtype, so numpy makes no float64 copy of x to
+    search it.  So the count is the up boundaries reached plus the down
+    boundaries -x has not reached, and zero - len(down) plus it is the
+    scalar rule's bin, provided every boundary is > 0 (_boundary_ladders
+    checks this): then x >= 0 passes every merged down entry and no up
+    entry lies below 0.
     """
     if isinstance(x, np.ndarray):
-        ladder = np.sort(np.concatenate(
-            [up, np.nextafter(np.negative(down), np.inf)]))
+        up, down = np.asarray(up), np.asarray(down)
+        if x.dtype.kind == up.dtype.kind == down.dtype.kind == "i":
+            least = 1 - down
+        else:
+            least = np.nextafter(np.negative(down), np.inf)
+        ladder = np.sort(np.concatenate([up, least]))
         bins = np.searchsorted(ladder, x, side="right")
         bins += zero - len(down)
         return bins
@@ -223,14 +230,6 @@ class _StageModel:
         return _count_boundaries(self.zero, self.up, self.down, s)
 
 
-def _map_rows(stage: _StageModel) -> list[memoryview]:
-    """A two-input stage's map as one memoryview per first-input bin, over
-    bins stored in the narrowest unsigned dtype; indexing a row returns a
-    Python int."""
-    bins = stage.stage_map().astype(np.min_scalar_type(stage.out_grid.n - 1))
-    return [memoryview(row) for row in bins]
-
-
 class PidOracle:
     """Bin-in, bin-out PID pipeline over the configured grids.
 
@@ -238,15 +237,16 @@ class PidOracle:
     output ValueGrids (an NpidConfig's built grids satisfy this).
 
     The error and integral stages are tabulated at construction by
-    _StageModel.stage_map, N^2 entries each, kept as one memoryview per
-    first-input bin over the narrowest unsigned dtype (uint8 up to 256
-    bins), so a lookup returns a Python int.  That costs O(N^2) time and
-    memory: a build takes about 1-2 ms and 1 MB of temporaries at N=151,
-    and 50-62 ms and 19 MB (float) or 26 MB (quantized) of temporaries at
-    N=1001, where the two maps keep 2 MB each (2-vCPU Xeon, Python 3.11,
-    numpy 2.4; medians of 7 builds, peak RSS rise).  The control
-    stage, N^3 tuples (3.4 million at N=151), is computed per tick by
-    _StageModel.bin.
+    _StageModel.stage_map, N^2 entries each, by arithmetic alone, and
+    kept by grids.bin_rows: one read-only memoryview per first-input bin
+    over the narrowest unsigned dtype (uint8 up to 256 bins), so a lookup
+    returns a Python int.  NpidNetwork keeps the spiking units' maps in
+    the same format.  That costs O(N^2) time and memory: a build takes
+    about 1-4 ms and 1 MB of temporaries at N=151, and 50-90 ms and
+    19 MB of temporaries (float or quantized) at N=1001, where the two
+    maps keep 2 MB each (2-vCPU Xeon, Python 3.11, numpy 2.4; medians of
+    7 builds, peak RSS rise).  The control stage, N^3 tuples (3.4 million
+    at N=151), is computed per tick by _StageModel.bin.
     """
 
     def __init__(self, grids, gains: PidGains, dt: float, lam: float = 1.0,
@@ -277,8 +277,8 @@ class PidOracle:
              [gains.kd * v for v in grids.derivative.values]],
             grids.output, mode, quantized,
         )
-        self._err_map = _map_rows(self._err)
-        self._int_map = _map_rows(self._int)
+        self._err_map = bin_rows(self._err.stage_map(), grids.error)
+        self._int_map = bin_rows(self._int.stage_map(), grids.integral)
 
     def fresh_state(self) -> QuantPidState:
         return QuantPidState(integral_bin=self.grids.integral.zero_index)

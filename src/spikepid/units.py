@@ -28,8 +28,10 @@ spikes from their bins) call it.  AdderUnit.eval_all_pairs is the one
 exhaustive path, for any number of inputs: it propagates one row per
 aggregate firing class (AdderUnit.firing_class), since rows whose
 potentials no threshold separates fire every neuron alike.
-AdderUnit.winner_bin is the one path the controller ticks on; it skips
-the layers through the prefix property and is bit-identical to eval_bins.
+The controller ticks its two-input units from their eval_all_pairs maps,
+built once per network, and its three-input control unit on
+AdderUnit.winner_bin, which skips the layers through the prefix property
+and is bit-identical to eval_bins.
 """
 
 from __future__ import annotations

@@ -265,6 +265,30 @@ class TestWindUp:
             assert net.integral_bin <= prev - 1
             prev = net.integral_bin
 
+    @pytest.mark.parametrize("n, distribution, quantized, size, max_abs", [
+        (151, "uniform", False, 23, 0.00215),
+        (151, "quadratic", False, 23, 0.00215),
+        (151, "uniform", True, 15, 0.00514),
+        (63, "uniform", False, 23, 0.0126),
+        (15, "uniform", False, 15, 0.1),
+    ])
+    def test_integral_parking_set_of_the_step_experiment(self, n, distribution,
+                                                         quantized, size, max_abs):
+        """The integral bins the loop can settle on with no error left:
+        how many and how far from zero, and a parked integral stays put
+        under a zero error.  At N=15 every bin parks."""
+        net = build_npid(step_experiment(n=n, distribution=distribution,
+                                         quantized=quantized).npid)
+        parked = net.integral_parking_set
+        values = net.grids.integral.values
+        assert len(parked) == size
+        assert net.grids.integral.zero_index in parked
+        assert max(abs(values[i]) for i in parked) == pytest.approx(max_abs, rel=1e-3)
+        for i in range(net.grids.integral.n):
+            net.integral_bin = i
+            net.step(2.0, 2.0, 0.0)  # error at the zero bin
+            assert (net.integral_bin == i) == (i in parked)
+
     def test_saturation_output_stays_in_range(self):
         net = build_npid(default_config(n=15))
         lo, hi = net.grids.output.lo, net.grids.output.hi

@@ -287,19 +287,39 @@ class TestStageMaps:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_build_temporaries_stay_below_four_n_squared_doubles(self, quantized):
         """The array count searches each stage's sums once, with no
-        sign-split copies, so an N=1001 build's traced peak stays below
-        four N^2 float64 arrays (numpy reports its buffers to
-        tracemalloc, so the reading repeats exactly)."""
-        cfg = default_config(n=1001, quantized=quantized)
-        grids = cfg.build_grids()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            _oracle(cfg, grids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 1001 ** 2 * 8
+        sign-split copies and, on the integer sums of a quantized stage,
+        in an integer ladder (no float64 copy of the sums), so an N=1001
+        oracle build's traced peak stays below four N^2 float64 arrays
+        and a quantized build peaks no higher than a float one.  The
+        network, which builds its own two maps from the units, stays
+        under the same bound.  numpy reports its buffers to tracemalloc,
+        so the readings repeat exactly."""
+        def peak(build, q):
+            cfg = default_config(n=1001, quantized=q)
+            grids = cfg.build_grids()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                build(cfg, grids)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_oracle, quantized) < 4 * 1001 ** 2 * 8
+        assert peak(lambda cfg, _: build_npid(cfg), quantized) < 4 * 1001 ** 2 * 8
+        if quantized:
+            assert peak(_oracle, True) <= peak(_oracle, False)
+
+    def test_maps_are_read_only(self):
+        """The rows both sides tick on cannot be written through."""
+        cfg = default_config(n=15)
+        net = build_npid(cfg)
+        oracle = _oracle(cfg, net.grids)
+        for rows in (oracle._err_map, oracle._int_map, net._err_map, net._int_map):
+            before = rows[0][0]
+            with pytest.raises(TypeError):
+                rows[0][0] = before + 1
+            assert rows[0][0] == before
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_three_input_stage_map_equals_the_scalar_stage(self, quantized):
@@ -326,8 +346,15 @@ _HIGH_RES = [step_experiment(n=1001, distribution=dist, quantized=q).npid
     f"-{'quantized' if c.quantized else 'float'}"))
 def test_two_input_stages_equal_the_spiking_units_on_every_tuple(cfg):
     """Every (target, measurement) and (integral, error) tuple: the
-    oracle's map equals the unit's literal spike propagation."""
+    oracle's map, and the network's stored map that step reads, equal
+    the unit's literal spike propagation.  The network's integral
+    parking set is the same scan of either integral map."""
     net = build_npid(cfg)
     oracle = _oracle(cfg, net.grids)
-    assert np.array_equal(np.asarray(oracle._err_map), net.error_unit.eval_all_pairs())
-    assert np.array_equal(np.asarray(oracle._int_map), net.integral_unit.eval_all_pairs())
+    for unit, rows, oracle_rows in ((net.error_unit, net._err_map, oracle._err_map),
+                                    (net.integral_unit, net._int_map, oracle._int_map)):
+        assert np.array_equal(np.asarray(rows), unit.eval_all_pairs())
+        assert np.array_equal(np.asarray(oracle_rows), np.asarray(rows))
+    z = net.grids.error.zero_index
+    assert net.integral_parking_set == tuple(
+        i for i, row in enumerate(oracle._int_map) if row[z] == i)
