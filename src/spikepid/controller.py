@@ -9,6 +9,12 @@ Dataflow per control tick (all signals one-hot):
     error bin + integral bin + derivative input
         -> control unit -> output bin -> decoded thrust offset
 
+NpidNetwork states this graph once, in a port table: per unit, its
+output grid and its input ports in sum order (source population or
+unit, delay, sign, gain).  The units are built from it; the netlist
+wiring, the raster and neuron_count read it.  NpidNetwork.step is its
+hand-written hot path, which every raster read checks against it.
+
 Gains are fused into the control unit's synaptic weights (kp, kp/ti,
 kp*td times the source bin values); the derivative is supplied as an
 encoded input rather than computed from spikes.  The integral unit's
@@ -204,20 +210,21 @@ class SpikeTrace:
         net = self.network
         if net is None or not self.output_bin:
             return []
-        # Rows ordered so that each unit's inputs, and the input spikes, are slices.
-        bins = np.array(([self.integral_start] + self.integral_bin[:-1],
-                         self.error_bin, self.integral_bin, self.deriv_bin,
-                         self.target_bin, self.measurement_bin, self.output_bin))
-        tm, dg = net.grids.target_measurement, net.grids.derivative
-        fired = [np.zeros((len(self), 2 * tm.n + dg.n), dtype=bool)]
-        fired[0][np.arange(len(self))[:, None],
-                 bins[3:6].T + (2 * tm.n, 0, tm.n)] = True  # the input spikes
+        # Each source's bin per tick, and last tick's for a delay-1 port.
+        now = {"target": self.target_bin, "measurement": self.measurement_bin,
+               "derivative": self.deriv_bin, "error": self.error_bin,
+               "integral": self.integral_bin, "control": self.output_bin}
+        past = {"integral": [self.integral_start] + self.integral_bin[:-1]}
+        fired = [np.equal.outer(now[name], np.arange(grid.n))  # the input spikes
+                 for name, grid in net._inputs.items()]
         winners = []
-        for unit, rows in zip(net.units, (slice(4, 6), slice(0, 2), slice(1, 4))):
-            w, *masks = unit.eval_bins(bins[rows].T)  # pos, neg, reduce masks
+        for unit in net.units:
+            ports = net._ports[unit.name][1]
+            w, *masks = unit.eval_bins(  # pos, neg, reduce masks
+                np.array([(past if delay else now)[src] for src, delay, *_ in ports]).T)
             winners.append(w)
             fired += masks
-        recorded = bins[[1, 2, 6]]  # error, integral, output
+        recorded = np.array([now[unit.name] for unit in net.units])
         wrong = np.array(winners) != recorded
         if wrong.any():
             k, u = np.argwhere(wrong.T)[0]  # the first tick, then its first unit
@@ -251,33 +258,29 @@ class NpidNetwork:
     def __init__(self, config: NpidConfig):
         self.config = config
         self.grids = config.build_grids()
-        g, dt, lam = config.gains, config.dt, config.decay
-        mode, quant = config.mode, config.quantized
-        tm = self.grids.target_measurement
-
-        self.error_unit = build_adder(
-            [InputSpec(tm, +1, 1.0), InputSpec(tm, -1, 1.0)],
-            self.grids.error, mode=mode, quantized=quant, name="error",
-        )
-        self.integral_unit = build_adder(
-            [InputSpec(self.grids.integral, +1, lam),
-             InputSpec(self.grids.error, +1, dt)],
-            self.grids.integral, mode=mode, quantized=quant, name="integral",
-        )
-        self.control_unit = build_adder(
-            [InputSpec(self.grids.error, +1, g.kp),
-             InputSpec(self.grids.integral, +1, g.ki),
-             InputSpec(self.grids.derivative, +1, g.kd)],
-            self.grids.output, mode=mode, quantized=quant, name="control",
-        )
-        self.units = (self.error_unit, self.integral_unit, self.control_unit)
-        self._err_map = bin_rows(self.error_unit.eval_all_pairs(), self.grids.error)
-        self._int_map = bin_rows(self.integral_unit.eval_all_pairs(),
-                                 self.grids.integral)
+        g, dt, lam, grids = config.gains, config.dt, config.decay, self.grids
+        tm = grids.target_measurement
 
         # The input populations, in netlist and raster order.
-        self._inputs = {"target": tm, "measurement": tm,
-                        "derivative": self.grids.derivative}
+        self._inputs = {"target": tm, "measurement": tm, "derivative": grids.derivative}
+        # Per unit, in build order: its output grid and its input ports in
+        # sum order, (source population or unit, delay, sign, gain).
+        self._ports = {
+            "error": (grids.error, (("target", 0, 1, 1.0), ("measurement", 0, -1, 1.0))),
+            "integral": (grids.integral, (("integral", 1, 1, lam), ("error", 0, 1, dt))),
+            "control": (grids.output, (("error", 0, 1, g.kp), ("integral", 0, 1, g.ki),
+                                       ("derivative", 0, 1, g.kd))),
+        }
+        grid_of = {**self._inputs, **{u: out for u, (out, _) in self._ports.items()}}
+        self.units = tuple(
+            build_adder([InputSpec(grid_of[src], sign, gain)
+                         for src, _, sign, gain in ports],
+                        out, mode=config.mode, quantized=config.quantized, name=name)
+            for name, (out, ports) in self._ports.items())
+        self.error_unit, self.integral_unit, self.control_unit = self.units
+        self._err_map = bin_rows(self.error_unit.eval_all_pairs(), grids.error)
+        self._int_map = bin_rows(self.integral_unit.eval_all_pairs(), grids.integral)
+
         self.integral_bin = self.grids.integral.zero_index
         self._trace: SpikeTrace | None = None  # what step appends to
         self._recorded: SpikeTrace | None = None  # what fetch_trace returns
@@ -325,8 +328,7 @@ class NpidNetwork:
         """(unit neurons, input neurons).  With every population at the
         same resolution N this is (6N + 3, 3N)."""
         unit = sum(u.neuron_count for u in self.units)
-        inputs = 2 * self.grids.target_measurement.n + self.grids.derivative.n
-        return unit, inputs
+        return unit, sum(g.n for g in self._inputs.values())
 
     @property
     def integral_parking_set(self) -> tuple[int, ...]:
@@ -355,13 +357,9 @@ class NpidNetwork:
     def export_netlist(self) -> Netlist:
         """Serialize the controller as a flat neuron/synapse graph; the
         recurrent integral edge is the only delay-1 wiring."""
-        wiring = [
-            [("input", "target", 0), ("input", "measurement", 0)],
-            [("unit", "integral", 1), ("unit", "error", 0)],
-            [("unit", "error", 0), ("unit", "integral", 0),
-             ("input", "derivative", 0)],
-        ]
-        return export_netlist(self.units, self._inputs, wiring)
+        return export_netlist(self.units, self._inputs, [
+            [("input" if src in self._inputs else "unit", src, delay)
+             for src, delay, *_ in ports] for _, ports in self._ports.values()])
 
 
 def build_npid(config: NpidConfig) -> NpidNetwork:

@@ -168,8 +168,12 @@ class AdderUnit:
         self._tick = (tuple(weights), thr_pos, thr_neg, self.zero_index)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
-        self._ladder = np.sort(np.concatenate(
-            [thr_pos, np.nextafter(np.negative(thr_neg), np.inf)]))
+        # The least potential at which each neg neuron stops firing: an
+        # integer one on a quantized unit's integer potentials, so the
+        # ladder keeps their dtype and searchsorted makes no float copy.
+        stops = (1 - np.asarray(thr_neg) if quantized
+                 else np.nextafter(np.negative(thr_neg), np.inf))
+        self._ladder = np.sort(np.concatenate([thr_pos, stops]))
         self._weight_arrs = [np.asarray(w) for w in weights]
         self._build_reduce_wiring()
 
@@ -232,9 +236,10 @@ class AdderUnit:
         """Aggregate firing class of each potential in the array s: how
         many entries of one sorted merged ladder are <= s, an integer in
         [0, pos_count + neg_count].  The ladder holds each thr_pos entry
-        (where a pos neuron starts firing) and each nextafter(-thr_neg,
-        inf) (the least s where a neg neuron, -s >= thr, stops), so the
-        count is pos firing + neg_count - neg firing.  Both parts are
+        (where a pos neuron starts firing) and, per neg threshold thr, the
+        least s where that neuron (-s >= thr) stops: nextafter(-thr, inf),
+        or 1 - thr on a quantized unit, whose potentials are integers.  So
+        the count is pos firing + neg_count - neg firing.  Both parts are
         monotone in s, so equal counts mean no threshold lies between two
         potentials and every aggregate neuron fires alike on them; the
         ladder is sorted, so this holds whatever the order of thr_pos and
@@ -306,6 +311,7 @@ class AdderUnit:
         for w in self._weight_arrs[1:]:
             s = s[..., None] + w
         key = self.firing_class(s.ravel())
+        del s  # keyed: free the N^2 potentials before the scatter
         # minimum is order-free, so the representative does not depend on
         # the order of the scatter; absent classes keep len(key).
         first = np.full(self.pos_count + self.neg_count + 1, len(key))

@@ -24,8 +24,8 @@ from spikepid.harness import (
     write_summary_csv,
     write_svg,
 )
-from spikepid.plant import PlantParams
-from spikepid.reference import round_to_grid
+from spikepid.plant import PlantParams, PlantState, SensorModel, sense
+from spikepid.reference import PidState, pid_step, round_to_grid
 from spikepid.units import AdderUnit, build_adder
 
 
@@ -95,6 +95,22 @@ class TestRunStepResponse:
         trace, metrics = run_step_response(cfg)
         assert set(trace.error_bin) == {-1}  # no bins for the baseline
         assert max(trace.z) > 1.0
+
+    def test_baseline_takes_the_sensor_derivative(self):
+        """At sensor_window 3 the sensor's climb differs from the error's
+        one-tick difference; the baseline gets the climb, as the spiking
+        controller does, tick for tick."""
+        cfg = replace(step_experiment(setpoint=2.0, controller="baseline",
+                                      duration=5.0), sensor_window=3)
+        trace, _ = run_step_response(cfg)
+        sensor, pid = SensorModel(cfg.sensor_quantum, cfg.sensor_window), PidState()
+        out = cfg.npid.output_grid
+        for z, z_meas, u in zip(trace.z, trace.z_meas, trace.u_newton):
+            got_meas, climb = sense(sensor, PlantState(z=z), cfg.npid.dt)
+            assert got_meas == z_meas
+            assert u == pid_step(pid, cfg.setpoint, z_meas, cfg.npid.dt, cfg.npid.gains,
+                                 clamp=(out.lo, out.hi), lam=cfg.npid.decay,
+                                 derivative=-climb)
 
     def test_metrics_sanity(self):
         cfg = step_experiment(setpoint=2.0, n=151)
@@ -333,7 +349,7 @@ class TestVerifyAdder:
 
 class TestBench:
     def test_reports_positive_throughput(self):
-        rep = bench(ticks=20_000, latency_samples=2_000)
+        rep = bench(ticks=20_000)
         assert rep.ticks_per_second > 0
         assert rep.mean_us > 0
         assert rep.p99_us >= rep.mean_us * 0.1
@@ -347,8 +363,7 @@ class TestBench:
         rates = {15: [], 151: []}
         for _ in range(3):
             for n in rates:
-                rates[n].append(bench(default_config(n=n), ticks=30_000,
-                                      latency_samples=100).ticks_per_second)
+                rates[n].append(bench(default_config(n=n), ticks=30_000).ticks_per_second)
         assert max(rates[15]) >= max(rates[151]) * 0.8
 
 
