@@ -507,79 +507,84 @@ def write_svg(series, path, setpoint: float | None = None, band: float = 0.0) ->
 # -- config file ----------------------------------------------------------------
 
 
-def _object(value, name: str) -> dict:
-    """A copy of a config object, so reads can pop their keys from it."""
+_GRIDS = ("target", "error", "integral", "derivative", "output")
+
+# Every key a config file may set, by section ("" is the file itself),
+# with its JSON type.  The experiment keys and grids.n /
+# grids.distribution are step_experiment's parameters; plant's are the
+# PlantParams fields plus battery_beta.
+_CONFIG_KEYS = {
+    "": dict.fromkeys(("gains", "grids", "plant", "sensor", "experiment"), "object"),
+    "gains": dict.fromkeys(("kp", "ti", "td"), "number"),
+    "grids": {"n": "integer", "distribution": "string", **dict.fromkeys(_GRIDS, "object")},
+    "grids.<name>": {"range": "range", "n": "integer", "distribution": "string"},
+    "plant": dict.fromkeys([f.name for f in fields(PlantParams)] + ["battery_beta"],
+                           "number"),
+    "sensor": {"quantum": "number", "window": "integer"},
+    "experiment": {**dict.fromkeys(("setpoint", "decay", "duration", "rate"), "number"),
+                   **dict.fromkeys(("controller", "mode", "label"), "string"),
+                   "quantized": "boolean"},
+}
+_JSON_TYPES = {"object": ("an object", dict), "number": ("a number", (int, float)),
+               "integer": ("an integer", int), "string": ("a string", str),
+               "boolean": ("true or false", bool),
+               "range": ("a list [lo, hi] of two numbers", list)}
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether value has the JSON type kind: a number is an int or a
+    float but not a bool, and a range is a list of two numbers."""
+    if not (isinstance(value, _JSON_TYPES[kind][1])
+            and isinstance(value, bool) == (kind == "boolean")):
+        return False
+    return kind != "range" or len(value) == 2 and all(_is_json(v, "number") for v in value)
+
+
+def _read_section(value, section: str, row: str | None = None) -> dict:
+    """A copy of the config object value at section, checked against its
+    row of _CONFIG_KEYS: a key the row does not name (most likely a
+    typo) or a value of another JSON type raises ValueError naming it as
+    section.key.  A key the file leaves out is not in the copy, so it
+    keeps the default of the call the copy is passed to."""
     if not isinstance(value, dict):
-        raise ValueError(f"config {name or 'file'} must be an object, got {value!r}")
+        raise ValueError(f"config {section or 'file'} must be an object, got {value!r}")
+    kinds = _CONFIG_KEYS[section if row is None else row]
+    prefix = section + "." if section else ""
+    unknown = [prefix + key for key in value if key not in kinds]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
+    for key, v in value.items():
+        if not _is_json(v, kinds[key]):
+            raise ValueError(f"{prefix}{key} must be {_JSON_TYPES[kinds[key]][0]}, "
+                             f"got {v!r}")
     return dict(value)
-
-
-def _no_leftovers(d: dict, prefix: str) -> None:
-    """Every key a section's reads did not pop is unknown, most likely a typo."""
-    if d:
-        names = ", ".join(prefix + key for key in d)
-        raise ValueError(f"unknown config key {names}")
-
-
-def _pop(d: dict, keys) -> dict:
-    """Pop the entries of d under the given keys, so that a key the file
-    leaves out keeps the default of the call it is passed to."""
-    return {key: d.pop(key) for key in keys if key in d}
 
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config JSON with sections gains / grids / plant
     / sensor / experiment; every field is optional and defaults to the
-    run step_experiment builds.  Each read pops its key, and a section
-    or key left unread raises ValueError naming it as section.key."""
+    run step_experiment builds.  An unknown section or key, or a value
+    of the wrong JSON type, raises ValueError naming it as section.key."""
     with open(path) as f:
-        raw = _object(json.load(f), "")
-    gains_d, grids, plant_d, sensor_d, exp = (
-        _object(raw.pop(name, {}), name)
-        for name in ("gains", "grids", "plant", "sensor", "experiment"))
-    _no_leftovers(raw, "")
-    gains = PidGains(**_pop(gains_d, ("kp", "ti", "td")))
-    _no_leftovers(gains_d, "gains.")
-
-    # The experiment keys and grids.n / grids.distribution are exactly
-    # step_experiment's parameters.
-    run = step_experiment(**_pop(exp, ("setpoint", "controller", "decay", "mode",
-                                       "quantized", "duration", "rate")),
-                          **_pop(grids, ("n", "distribution")))
+        raw = _read_section(json.load(f), "")
+    gains, grids, plant, sensor, exp = (_read_section(raw.get(name, {}), name)
+                                        for name in _CONFIG_KEYS[""])
+    label = exp.pop("label", "")  # unlabelled unless the file names it
+    specs = {name: grids.pop(name, {}) for name in _GRIDS}
+    run = step_experiment(**exp, **grids)
 
     def grid(name):
         spec = getattr(run.npid, f"{name}_grid")
-        if name not in grids:
-            return spec
-        g = _object(grids.pop(name), f"grids.{name}")
-        lo_hi = g.pop("range", [spec.lo, spec.hi])
-        if (not isinstance(lo_hi, list) or len(lo_hi) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in lo_hi)):
-            raise ValueError(f"grids.{name}.range must be a list [lo, hi] of two "
-                             f"numbers, got {lo_hi!r}")
-        spec = GridSpec(*lo_hi, g.pop("n", spec.n),
-                        g.pop("distribution", spec.distribution))
-        _no_leftovers(g, f"grids.{name}.")
-        return spec
+        g = _read_section(specs[name], f"grids.{name}", "grids.<name>")
+        lo, hi = g.pop("range", (spec.lo, spec.hi))
+        return replace(spec, lo=lo, hi=hi, **g)
 
-    npid = replace(run.npid, gains=gains, **{
-        f"{name}_grid": grid(name)
-        for name in ("target", "error", "integral", "derivative", "output")})
-    _no_leftovers(grids, "grids.")
-
+    npid = replace(run.npid, gains=PidGains(**gains),
+                   **{f"{name}_grid": grid(name) for name in _GRIDS})
+    beta = plant.pop("battery_beta", run.battery_beta)
     try:
-        plant = PlantParams(**_pop(plant_d, [f.name for f in fields(PlantParams)]))
+        plant = PlantParams(**plant)
     except ValueError as e:
         raise ValueError(f"plant.{e}") from None
-    run = replace(
-        run, npid=npid, plant=plant,
-        **_pop(plant_d, ("battery_beta",)),
-        **{f"sensor_{key}": value
-           for key, value in _pop(sensor_d, ("quantum", "window")).items()},
-        label=exp.pop("label", ""),  # unlabelled unless the file names it
-    )
-    _no_leftovers(plant_d, "plant.")
-    _no_leftovers(sensor_d, "sensor.")
-    _no_leftovers(exp, "experiment.")
-    return run
+    return replace(run, npid=npid, plant=plant, battery_beta=beta, label=label,
+                   **{f"sensor_{key}": value for key, value in sensor.items()})

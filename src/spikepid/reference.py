@@ -5,13 +5,16 @@ The oracle performs the same pipeline (error, decayed integral, gain-
 weighted output) by direct arithmetic on grid values and rounds each
 stage to its grid with the same rounding mode, so a correct spiking
 network must reproduce its bin stream exactly in float mode.  It never
-touches the spiking machinery: winners come from counting grid
-boundaries, not from propagating spikes.
+touches the spiking machinery: winners come from arithmetic on the
+grid's boundaries, not from propagating spikes.  There is one rounding
+rule: a sum's bin is the number of the grid's sorted step points at or
+below it (_step_points), one bisect_right for a scalar and one
+np.searchsorted for an array.
 
 The two-input stages (error and integral) are tabulated when the oracle
 is built: the array path sums their contribution tables over every input
-tuple and counts boundaries once, at O(N^2) time and memory per stage,
-so a tick reads two map entries and computes only the three-input
+tuple and searches the step points once, at O(N^2) time and memory per
+stage, so a tick reads two map entries and computes only the three-input
 control stage (build costs in the PidOracle docstring).
 """
 
@@ -136,45 +139,27 @@ def _boundary_ladders(grid: ValueGrid, mode: str):
     return up, down
 
 
-def _count_boundaries(zero: int, up, down, x):
-    """Bin of x on a ladder pair: zero plus the number of up boundaries x
-    has reached, or, for negative x, zero minus the number of down
-    boundaries -x has reached.  Clamping is implicit: the count saturates
-    at the ladder's length.  x is a scalar (bisect over list ladders) or
-    a numpy array.
-
-    The array form searches x once in one sorted merged ladder: each up
-    boundary plus, per down boundary d, the least x with -x < d, which
-    is nextafter(-d, inf) (the rule AdderUnit.firing_class uses) or, for
-    integer x on integer ladders (quantized stages), 1 - d; that keeps
-    the ladder in x's dtype, so numpy makes no float64 copy of x to
-    search it.  So the count is the up boundaries reached plus the down
-    boundaries -x has not reached, and zero - len(down) plus it is the
-    scalar rule's bin, provided every boundary is > 0 (_boundary_ladders
-    checks this): then x >= 0 passes every merged down entry and no up
-    entry lies below 0.
-    """
-    if isinstance(x, np.ndarray):
-        up, down = np.asarray(up), np.asarray(down)
-        if x.dtype.kind == up.dtype.kind == down.dtype.kind == "i":
-            least = 1 - down
-        else:
-            least = np.nextafter(np.negative(down), np.inf)
-        ladder = np.sort(np.concatenate([up, least]))
-        bins = np.searchsorted(ladder, x, side="right")
-        bins += zero - len(down)
-        return bins
-    if x >= 0:
-        return zero + bisect_right(up, x)
-    return zero - bisect_right(down, -x)
+def _step_points(up, down, integer: bool) -> list:
+    """The sorted points where the bin steps up by one as the sum x
+    rises: each up boundary, and per down boundary d the least x with
+    -x < d, 1 - d on integers (quantized stages), else nextafter(-d, inf).
+    The bin of x is the number of points at or below it: down has
+    zero_index entries and every boundary is > 0 (_boundary_ladders),
+    so x >= 0 passes every down stop plus the up boundaries it reaches,
+    and x < 0 no up boundary and the down stops of those -x misses."""
+    stops = [1 - d for d in down] if integer else [math.nextafter(-d, math.inf)
+                                                  for d in down]
+    return sorted(up + stops)
 
 
 def round_to_grid(grid: ValueGrid, x, mode: str = "nearest"):
-    """Bin index of x rounded onto the grid, clamped to its ends.  x may
-    be a float (returns an int) or a numpy array (returns an int64 array
-    of bins)."""
-    up, down = _boundary_ladders(grid, mode)
-    return _count_boundaries(grid.zero_index, up, down, x)
+    """Bin index of x rounded onto the grid, clamped to its ends: the
+    number of the grid's step points at or below x.  x may be a float
+    (returns an int) or a numpy array (returns an int64 array of bins)."""
+    points = _step_points(*_boundary_ladders(grid, mode), integer=False)
+    if isinstance(x, np.ndarray):
+        return np.searchsorted(points, x, side="right")
+    return bisect_right(points, x)
 
 
 # -- bin-level oracle --------------------------------------------------------
@@ -187,7 +172,7 @@ class QuantPidState:
 
 class _StageModel:
     """Arithmetic mirror of one adder stage: per-input contribution
-    tables plus boundary ladders over the output grid.
+    tables plus the step points of the output grid.
 
     In quantized mode the contributions and boundaries are the even-
     integer weights and integer thresholds the hardware constraint
@@ -196,38 +181,34 @@ class _StageModel:
     """
 
     def __init__(self, tables, out_grid: ValueGrid, mode: str, quantized: bool):
-        self.out_grid = out_grid
-        self.zero = out_grid.zero_index
         up, down = _boundary_ladders(out_grid, mode)
         if quantized:
             scale = choose_scale([w for row in tables for w in row])
             self.tables = [[quantize_weight(w, scale) for w in row] for row in tables]
-            self.up = [max(1, round_half_away(b * scale)) for b in up]
-            self.down = [max(1, round_half_away(b * scale)) for b in down]
+            up = [max(1, round_half_away(b * scale)) for b in up]
+            down = [max(1, round_half_away(b * scale)) for b in down]
         else:
             self.tables = [list(row) for row in tables]
-            self.up = up
-            self.down = down
-        self._tick = (self.tables, self.zero, self.up, self.down)
+        self.points = _step_points(up, down, integer=quantized)
 
     def bin(self, *bins) -> int:
         """Output bin of one input tuple: the contributions summed left
-        to right, then counted against the ladders."""
-        tables, zero, up, down = self._tick
+        to right, then the step points at or below the sum counted."""
+        tables = self.tables
         s = tables[0][bins[0]]
         for p in range(1, len(tables)):
             s = s + tables[p][bins[p]]
-        return _count_boundaries(zero, up, down, s)
+        return bisect_right(self.points, s)
 
     def stage_map(self) -> np.ndarray:
         """Output bin of every input tuple, shaped by the input sizes.
         The tables are summed left to right by broadcasting, the adds
-        bin makes in the same order, and one array pass of the ladder
-        count rounds them."""
+        bin makes in the same order, and one search of the step points
+        rounds them."""
         s = np.asarray(self.tables[0])
         for row in self.tables[1:]:
             s = s[..., None] + np.asarray(row)
-        return _count_boundaries(self.zero, self.up, self.down, s)
+        return np.searchsorted(self.points, s, side="right")
 
 
 class PidOracle:
@@ -246,7 +227,9 @@ class PidOracle:
     19 MB of temporaries (float or quantized) at N=1001, where the two
     maps keep 2 MB each (2-vCPU Xeon, Python 3.11, numpy 2.4; medians of
     7 builds, peak RSS rise).  The control stage, N^3 tuples (3.4 million
-    at N=151), is computed per tick by _StageModel.bin.
+    at N=151), is computed per tick by _StageModel.bin.  Each stage
+    sorts its step points once, when it is built, and every bin, mapped
+    or per tick, is the count of those points at or below the sum.
     """
 
     def __init__(self, grids, gains: PidGains, dt: float, lam: float = 1.0,

@@ -31,7 +31,9 @@ potentials no threshold separates fire every neuron alike.
 The controller ticks its two-input units from their eval_all_pairs maps,
 built once per network, and its three-input control unit on
 AdderUnit.winner_bin, which skips the layers through the prefix property
-and is bit-identical to eval_bins.
+and is bit-identical to eval_bins: the winner is the number of the
+unit's sorted step points (where a non-zero pos neuron starts firing or
+a non-zero neg neuron stops) at or below the summed potential.
 """
 
 from __future__ import annotations
@@ -164,16 +166,18 @@ class AdderUnit:
         self.pos_count = len(thr_pos)
         self.neg_count = len(thr_neg)
 
+        # Where each neg neuron (-s >= thr) stops firing as the potential
+        # s rises: the least s with -s < thr, 1 - thr on a quantized
+        # unit's integer potentials.  winner_bin's step points are those
+        # of the non-zero neurons; firing_class's ladder adds the zeros'.
+        stops = ([1 - t for t in thr_neg] if quantized
+                 else [math.nextafter(-t, math.inf) for t in thr_neg])
+        points = sorted([*thr_pos[1:], *stops[1:]])
+        self._ladder = np.sort([thr_pos[0], stops[0], *points])
         # What winner_bin reads, in one attribute read per call.
-        self._tick = (tuple(weights), thr_pos, thr_neg, self.zero_index)
+        self._tick = (tuple(weights), points)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
-        # The least potential at which each neg neuron stops firing: an
-        # integer one on a quantized unit's integer potentials, so the
-        # ladder keeps their dtype and searchsorted makes no float copy.
-        stops = (1 - np.asarray(thr_neg) if quantized
-                 else np.nextafter(np.negative(thr_neg), np.inf))
-        self._ladder = np.sort(np.concatenate([thr_pos, stops]))
         self._weight_arrs = [np.asarray(w) for w in weights]
         self._build_reduce_wiring()
 
@@ -204,22 +208,20 @@ class AdderUnit:
     def winner_bin(self, *bins) -> int:
         """Output bin for the given input bins (fast path).
 
-        Uses the prefix-firing property: the reduce winner is the largest
-        output value whose aggregate threshold is reached, found by
-        bisection over the same thresholds the spiking path compares
-        against, on the input weights summed left to right.
+        Uses the prefix-firing property: the reduce winner is the number
+        of step points at or below the input weights summed left to
+        right.  A sum >= 0 passes all zero_index neg stops and each pos
+        threshold it reaches; a sum < 0 reaches no pos threshold and
+        passes the stops of the neg neurons that do not fire on it.
         Bit-identical to eval_bins (tested exhaustively).
         """
-        weights, thr_pos, thr_neg, zero = self._tick
+        weights, points = self._tick
         # Not sum(): from Python 3.12 it compensates float sums, which
         # eval_bins' numpy adds do not.
         s = weights[0][bins[0]]
         for p in range(1, len(weights)):
             s = s + weights[p][bins[p]]
-        if s >= 0:
-            return zero + bisect_right(thr_pos, s) - 1
-        # thr_neg[0] is ulp(0.0) or 1, which every negative sum reaches.
-        return zero - bisect_right(thr_neg, -s) + 1
+        return bisect_right(points, s)
 
     def potentials(self, bins):
         """Potential of each input-bin row: bins is an integer array
@@ -234,8 +236,9 @@ class AdderUnit:
 
     def firing_class(self, s):
         """Aggregate firing class of each potential in the array s: how
-        many entries of one sorted merged ladder are <= s, an integer in
-        [0, pos_count + neg_count].  The ladder holds each thr_pos entry
+        many entries of one sorted ladder are <= s, an integer in
+        [0, pos_count + neg_count].  The ladder is winner_bin's step
+        points plus the two zero neurons' entries: each thr_pos entry
         (where a pos neuron starts firing) and, per neg threshold thr, the
         least s where that neuron (-s >= thr) stops: nextafter(-thr, inf),
         or 1 - thr on a quantized unit, whose potentials are integers.  So

@@ -473,6 +473,17 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"^grids\.error\.range must be a list"):
             load_config(p)
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"sensor": {"quantum": True}}, "sensor.quantum must be a number, got True"),
+        ({"sensor": {"window": True}}, "sensor.window must be an integer, got True"),
+        ({"experiment": {"setpoint": "2"}}, "experiment.setpoint must be a number, got '2'"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected_by_name(self, tmp_path, raw, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+
     @pytest.mark.parametrize("raw,name", [
         ({"plant": {"thrust_mx": 12.0}}, "plant.thrust_mx"),
         ({"experiment": {"setpiont": 2.0}}, "experiment.setpiont"),

@@ -1,6 +1,8 @@
 """Conventional PID and the bin-level arithmetic oracle."""
 
+import functools
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from spikepid.reference import (
     PidState,
     QuantPidState,
     _boundary_ladders,
-    _count_boundaries,
     pid_step,
     round_to_grid,
 )
@@ -137,11 +138,13 @@ class TestRoundToGrid:
     @pytest.mark.parametrize("mode", ["floor", "nearest"])
     @pytest.mark.parametrize("dist", ["uniform", "quadratic"])
     def test_array_equals_scalar_calls(self, mode, dist):
-        """The array form applies the scalar rule elementwise, on exact
-        boundaries, out-of-range values and signed zero too.  Besides a
-        small grid, it is checked around every boundary of verify_adder's
-        n=151 output grid and of every stage of the flown configs on this
-        grid and mode, float and quantized."""
+        """round_to_grid, scalar and array, follows the sign-split rule
+        elementwise, on exact boundaries, out-of-range values and signed
+        zero too: on a small grid and around every boundary of
+        verify_adder's n=151 output grid.  So do each stage's bin and
+        array search, for the flown configs on this grid and mode, float
+        and quantized, around every threshold of the matching spiking
+        unit (with integer sums on quantized stages)."""
         g = make_grid(-2, 2, 9, dist)
         vals = np.asarray(g.values)
         mids = (vals[1:] + vals[:-1]) / 2
@@ -149,28 +152,57 @@ class TestRoundToGrid:
                             [-0.0, 0.0, 2.5, -2.5, 1e9, -1e9, np.inf, -np.inf]])
         got = round_to_grid(g, x, mode)
         assert got.dtype == np.int64
-        assert got.tolist() == [round_to_grid(g, v, mode) for v in x.tolist()]
+        want = [_sign_split_bin(g.zero_index, *_boundary_ladders(g, mode), v)
+                for v in x.tolist()]
+        assert got.tolist() == [round_to_grid(g, v, mode) for v in x.tolist()] == want
         assert round_to_grid(g, np.array([-0.0]), mode)[0] == g.zero_index
 
         out = make_grid(-2.5, 2.5, 301, dist)
-        ladders = [(out.zero_index, *_boundary_ladders(out, mode))]
+        up, down = _boundary_ladders(out, mode)
+        cases = [(lambda xs: round_to_grid(out, np.asarray(xs), mode).tolist(),
+                  lambda v: round_to_grid(out, v, mode), out.zero_index, up, down)]
         for cfg in _FLOWN:
             if cfg.mode == mode and cfg.error_grid.distribution == dist:
                 oracle = _oracle(cfg)
-                ladders += [(s.zero, s.up, s.down)
-                            for s in (oracle._err, oracle._int, oracle._ctl)]
-        for zero, up, down in ladders:
+                for stage, unit in zip((oracle._err, oracle._int, oracle._ctl),
+                                       build_npid(cfg).units):
+                    cases.append((functools.partial(_stage_search, stage),
+                                  functools.partial(_stage_bin, stage), unit.zero_index,
+                                  unit.thr_pos[1:], unit.thr_neg[1:]))
+        for search, scalar, zero, up, down in cases:
             b = np.concatenate([up, down])
-            xs = [np.concatenate([b, -b, np.nextafter(b, np.inf), np.nextafter(-b, -np.inf),
-                                  np.nextafter(b, 0), np.nextafter(-b, 0),
-                                  [-0.0, 0.0, 1e9, -1e9, np.inf, -np.inf]])]
-            if b.dtype.kind == "i":  # quantized sums are int64 arrays
-                xs.append(np.concatenate([b - 1, b, b + 1, 1 - b, -b, -1 - b]))
-            for x in xs:
-                got = _count_boundaries(zero, up, down, x)
-                assert got.dtype == np.int64
-                assert got.tolist() == [_count_boundaries(zero, up, down, v)
-                                        for v in x.tolist()]
+            if b.dtype.kind == "i":  # quantized sums are integers
+                xs = np.concatenate([b - 1, b, b + 1, 1 - b, -b, -1 - b, [0, 10**9, -10**9]])
+            else:
+                xs = np.concatenate([b, -b, np.nextafter(b, np.inf), np.nextafter(-b, -np.inf),
+                                     np.nextafter(b, 0), np.nextafter(-b, 0),
+                                     [-0.0, 0.0, 1e9, -1e9, np.inf, -np.inf]])
+            xs = xs.tolist()
+            want = [_sign_split_bin(zero, up, down, v) for v in xs]
+            assert search(xs) == [scalar(v) for v in xs] == want
+
+
+def _sign_split_bin(zero, up, down, x):
+    """The definitional rounding rule: zero plus the number of up
+    boundaries x reaches, or, for negative x, zero minus the number of
+    down boundaries -x reaches."""
+    if x >= 0:
+        return zero + bisect_right(up, x)
+    return zero - bisect_right(down, -x)
+
+
+def _stage_search(stage, xs):
+    """stage_map's array search, on the sums xs."""
+    stage.tables = [xs]
+    got = stage.stage_map()
+    assert got.dtype == np.int64
+    return got.tolist()
+
+
+def _stage_bin(stage, x):
+    """bin's scalar search, on the sum x."""
+    stage.tables = [[x]]
+    return stage.bin(0)
 
 
 class TestOracle:

@@ -126,7 +126,7 @@ class TestBuildAdder:
         stage = _StageModel([[254 / 256 * v for v in g.values],
                              [-(3 / 256 * v) for v in g.values]], out, mode, True)
         assert stage.tables == u.weights
-        assert (stage.up, stage.down) == (u.thr_pos[1:], u.thr_neg[1:])
+        assert stage.points == sorted(thr + [1 - t for t in thr])
         assert all(type(t) is int for t in u.thr_pos + u.thr_neg)
 
     def test_subtraction_flips_weight_sign(self):
@@ -197,17 +197,24 @@ class TestEvalUnit:
         with pytest.raises(ValueError):
             eval_unit(fig2_unit, [one_hot(3, 0)])
 
-    def test_fast_path_equals_literal_propagation(self):
-        g = make_grid(-1.25, 1.25, 21, "quadratic")
-        out = make_grid(-2.5, 2.5, 41, "quadratic")
-        pairs = np.indices((21, 21)).reshape(2, -1).T
-        for mode in ("floor", "nearest"):
-            for quantized in (False, True):
-                u = build_adder([(g, 1, 1.0), (g, -1, 0.7)], out,
-                                mode=mode, quantized=quantized)
-                lit, _, _, _ = u.eval_bins(pairs)
-                for (i, j), b in zip(pairs.tolist(), lit.tolist()):
-                    assert u.winner_bin(i, j) == b
+    @pytest.mark.parametrize("mode", ["floor", "nearest"])
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("n,dist,sign,gain", [
+        (21, "quadratic", -1, 0.7),
+        (15, "uniform", 1, 1.0), (15, "quadratic", 1, 1.0),
+        (63, "uniform", 1, 1.0), (63, "quadratic", 1, 1.0)])
+    def test_fast_path_equals_literal_propagation(self, n, dist, sign, gain, mode,
+                                                  quantized):
+        """winner_bin equals the literal propagation on every pair of a
+        subtracting adder and of verify_adder's canonical adder (two equal
+        inputs on [-1.25, 1.25] into 2n - 1 outputs), whose floor-mode
+        sums land exactly on thresholds of both signs."""
+        g = make_grid(-1.25, 1.25, n, dist)
+        out = make_grid(-2.5, 2.5, 2 * n - 1, dist)
+        u = build_adder([(g, 1, 1.0), (g, sign, gain)], out,
+                        mode=mode, quantized=quantized)
+        fast = [[u.winner_bin(i, j) for j in range(n)] for i in range(n)]
+        assert fast == u.eval_all_pairs().tolist()
 
     @pytest.mark.parametrize("mode", ["floor", "nearest"])
     @pytest.mark.parametrize("quantized", [False, True])
