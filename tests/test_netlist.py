@@ -87,6 +87,24 @@ class TestExport:
             assert nl.neurons.id.dtype.kind == nl.neurons.layer.dtype.kind == "U"
             assert nl.neurons.threshold.dtype.kind == ("i" if quantized else "f")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["synapses.weight", "neurons.threshold"])
+    def test_non_finite_weight_or_threshold_rejected_naming_its_row(self, column, bad):
+        """A unit with one weight (input b's last bin, into every
+        aggregate neuron) or one threshold not finite exports nothing: the
+        error names the column and its first bad row."""
+        unit, clean = fig2_setup()
+        ids = clean.neurons.id.tolist()
+        if column == "synapses.weight":
+            unit._weight_arrs[1][2] = bad
+            row = int(np.flatnonzero(clean.synapses.src == ids.index("b[2]"))[0])
+        else:
+            unit.thr_pos[1] = bad
+            row = ids.index("adder.agg_pos[1]")
+        with pytest.raises(ValueError, match=rf"{column} row {row} is -?(nan|inf),"):
+            export_netlist([unit], {"a": unit.inputs[0].grid, "b": unit.inputs[1].grid},
+                           AB_WIRING)
+
     def test_port_grid_size_mismatch_rejected(self):
         g3 = make_grid(-1, 1, 3)
         g5 = make_grid(-1, 1, 5)
@@ -190,6 +208,22 @@ class TestSerialization:
         with open(path, "wb") as f:
             np.savez(f, **d)
         with pytest.raises(ValueError, match=field):
+            Netlist.load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["synapses.weight", "neurons.threshold"])
+    def test_non_finite_value_rejected_naming_its_row(self, column, bad, tmp_path):
+        """A saved N=15 controller with bad values in two rows of one column:
+        load names the column and the first of them."""
+        path = tmp_path / "net.npz"
+        build_npid(default_config(n=15)).export_netlist().save(path)
+        with np.load(path, allow_pickle=False) as z:
+            d = dict(z)
+        row = len(d[column]) // 2
+        d[column][[row + 5, row]] = bad
+        with open(path, "wb") as f:
+            np.savez(f, **d)
+        with pytest.raises(ValueError, match=rf"{column} row {row} is -?(nan|inf),"):
             Netlist.load(path)
 
 
@@ -547,26 +581,67 @@ def conflicting_orders(k, weight):
                    {"unit_outputs": {"u": {"n": k}}})
 
 
+def summing_units(weights, orders):
+    """One two-bin input population per weight; bin 1 of population i
+    carries weights[i].  Unit u{j} takes the populations in file order
+    orders[j].  As in summing_netlist, its neurons take the sum S_j and
+    -S_j (thresholds 0.5 and -0.5), so it picks bin 1 iff S_j >= 0.5."""
+    m = len(weights)
+    ids = [f"p{i}[{b}]" for i in range(m) for b in (0, 1)]
+    edges = []
+    for j, order in enumerate(orders):
+        neg, pos = len(ids), len(ids) + 1
+        ids += [f"u{j}.reduce[0]", f"u{j}.reduce[1]"]
+        edges += [(2 * i + 1, dst, sign * weights[i], 0)
+                  for dst, sign in ((neg, -1), (pos, 1)) for i in order]
+    neurons = Neurons(ids, [LAYER_INPUT] * 2 * m + ["reduce"] * 2 * len(orders),
+                      [0] * 2 * m + [-0.5, 0.5] * len(orders))
+    grid = make_grid(0, 1, 2).to_dict()
+    meta = {"grids": {f"p{i}": grid for i in range(m)},
+            "unit_outputs": {f"u{j}": {"n": 2} for j in range(len(orders))}}
+    return Netlist(neurons, Synapses(*map(list, zip(*edges))), meta)
+
+
+def check_rotated_units(weights, k):
+    """k units over the same sources, unit j taking them from source j on,
+    wrapping round, so two units take some pair of sources in opposite
+    orders.  They pick different bins when every source fires, so no one
+    order of the sources serves them all; on every activity pattern each
+    unit's bin is that of the file-order sum of its active in-edges."""
+    m = len(weights)
+    orders = [[(j + e) % m for e in range(m)] for j in range(k)]
+    assert len({file_order_sum(weights[i] for i in order) >= 0.5
+                for order in orders}) == 2
+    rt = NetlistRuntime(summing_units(weights, orders))
+    for active in itertools.product((0, 1), repeat=m):
+        want = {f"u{j}": int(file_order_sum(weights[i] for i in order if active[i]) >= 0.5)
+                for j, order in enumerate(orders)}
+        assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == want, active
+
+
 class TestRowOrder:
     """Each level's rows come in the order its sources first appear in the
-    file.  A neuron whose in-edges come in another order is accepted only
-    on a level whose sums are exact integers; else the level is rejected."""
+    file.  A level where some neuron takes its in-edges in another order
+    is replayed synapse by synapse, and each neuron still adds its active
+    in-edges in file order."""
 
-    def test_out_of_order_sum_past_2_53_rejected(self):
+    def test_out_of_order_sum_past_2_53_replays_in_file_order(self):
         """A neuron earlier in the file takes p1 before p2, so the rows
-        (p1, p2, p0) miss the unit's p0, p1, p2.  The weights are integers,
-        but 1e16 x 3 in-edges passes 2**53, so a sum in another order can
-        round: the level is rejected naming the first such neuron."""
-        weights = (1e16, 1.0, -1e16)
+        (p1, p2, p0) miss the unit's p0, p1, p2; summed in row order the
+        weights would pick the other bin."""
+        weights = (1.0, 1e16, -1e16)
+        assert file_order_sum(weights) < 0.5 <= file_order_sum(weights[1:] + weights[:1])
         nl = summing_netlist([0, 1, 2], weights, relay=False)
         decoy = len(nl.neurons)
         nl = Netlist(Neurons(np.append(nl.neurons.id, "decoy"),
                              np.append(nl.neurons.layer, "aggregate-pos"),
                              np.append(nl.neurons.threshold, 0)), nl.synapses, nl.meta)
         nl = with_synapses(nl, (3, decoy, 1.0, 0), (5, decoy, 1.0, 0), first=True)
-        with pytest.raises(ValueError, match=r"neuron 'u\.reduce\[0\]' takes its "
-                                             "in-edges in another order"):
-            NetlistRuntime(nl)
+        rt = NetlistRuntime(nl)
+        for active in itertools.product((0, 1), repeat=3):
+            s = file_order_sum(w for w, a in zip(weights, active) if a)
+            assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {
+                "u": int(s >= 0.5)}, active
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_conflicting_source_orders_with_integer_weights_build(self, k):
@@ -574,20 +649,19 @@ class TestRowOrder:
         order gives the file-order sum and the level is accepted."""
         NetlistRuntime(conflicting_orders(k, 1.0))
 
-    def test_integer_sums_exact_up_to_2_53(self):
-        """Two in-edges of 2**52 sum to 2**53 at most, still exact; one
-        more unit past it and the level is rejected."""
-        NetlistRuntime(conflicting_orders(2, 2.0 ** 52))
-        with pytest.raises(ValueError, match=r"max\|w\| x in-degree > 2\*\*53"):
-            NetlistRuntime(conflicting_orders(2, 2.0 ** 52 + 1))
+    @pytest.mark.parametrize("in_edges", [3, 11])
+    def test_integer_sums_past_2_53_replay_in_file_order(self, in_edges):
+        """Integer weights whose partial sums pass 2**53 and round: the
+        two units take the same in-edges from different starts and pick
+        different bins, each its own file-order one."""
+        weights = [2.0 ** 53] + [1.0] * (in_edges - 2) + [-2.0 ** 53]
+        check_rotated_units(weights, 2)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_conflicting_source_orders_rejected(self, k):
-        """With weight 0.5 the sums are not integers, so the last neuron,
-        whose in-edges run against the rows, is rejected by name."""
-        with pytest.raises(ValueError, match=f"neuron 'n{k - 1}' takes its in-edges "
-                                             "in another order"):
-            NetlistRuntime(conflicting_orders(k, 0.5))
+    def test_conflicting_source_orders_replay_in_file_order(self, k):
+        """k units over three sources, each from another start: the
+        weights sum to 1 in one order and 0 in the others."""
+        check_rotated_units((1e16, -1e16, 1.0), k)
 
     def test_source_feeding_a_neuron_twice_rejected(self):
         _, nl = fig2_setup()
