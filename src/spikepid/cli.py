@@ -6,6 +6,7 @@ path: --config, or else step_experiment on the step flags given (a flag
 left out keeps its default there).  So bench times and export-netlist
 writes the controller that run flies.  Each verb takes only the flags it
 reads; any other flag, or a step flag given with --config, exits 2.
+run --controller and compare take their controllers from CONTROLLERS.
 A bad flag value, config value or --out path exits 2 with the verb's
 usage line and a message that names it; an --out in a missing directory
 does so before anything is built or run.  Exit status is 1 when a
@@ -21,6 +22,7 @@ from dataclasses import replace
 
 from .controller import build_npid
 from .harness import (
+    CONTROLLERS,
     ExperimentConfig,
     bench,
     compare,
@@ -122,7 +124,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     return _report(compare([_experiment_from_args(args, controller=controller)
-                            for controller in ("npid", "baseline")]), args.out)
+                            for controller in CONTROLLERS]), args.out)
 
 
 def _report(rows, out) -> int:
@@ -191,8 +193,7 @@ def main(argv=None) -> int:
         return p
 
     p = verb("run", cmd_run, "single closed-loop step response", RUN)
-    p.add_argument("--controller", choices=["npid", "baseline"],
-                   default=argparse.SUPPRESS)
+    p.add_argument("--controller", choices=CONTROLLERS, default=argparse.SUPPRESS)
 
     p = verb("sweep", cmd_sweep, "set-points x population sizes",
              [f for f in RUN if f not in ("--setpoint", "--neurons")], config=False)
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
                    default="151,63,15")
     p.set_defaults(distribution="auto")
 
-    verb("compare", cmd_compare, "spiking vs conventional controller", RUN)
+    verb("compare", cmd_compare, "every controller on one run", RUN)
     verb("verify-adder", cmd_verify_adder, "exhaustive adder/oracle check", GRID,
          config=False, out=False)
 

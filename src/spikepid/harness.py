@@ -1,9 +1,9 @@
 """Closed-loop experiments and verification harness.
 
-Runs the spiking controller (or the conventional baseline) against the
-vertical plant, computes step-response metrics, verifies adder units
-exhaustively against the arithmetic oracle, benchmarks tick throughput
-and writes deterministic CSV/SVG artifacts.
+Runs a controller of the CONTROLLERS table (the spiking network or the
+PID baseline) against the vertical plant, computes step-response metrics,
+verifies adder units exhaustively against the arithmetic oracle,
+benchmarks tick throughput and writes deterministic CSV/SVG artifacts.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .controller import (GridSpec, NpidConfig, NpidNetwork, build_npid,
-                         default_config, write_csv_rows)
+from .controller import (GridSpec, NpidConfig, build_npid, default_config,
+                         write_csv_rows)
 from .grids import ValueGrid, encode, make_grid
 from .plant import (
     PlantParams,
@@ -32,6 +33,7 @@ from .reference import PidGains, PidState, pid_step, round_to_grid
 from .units import build_adder
 
 __all__ = [
+    "CONTROLLERS",
     "ExperimentConfig",
     "TraceRecord",
     "RunMetrics",
@@ -54,7 +56,7 @@ class ExperimentConfig:
 
     npid: NpidConfig
     setpoint: float
-    controller: str = "npid"  # "npid" | "baseline"
+    controller: str = "npid"  # a key of CONTROLLERS
     plant: PlantParams = field(default_factory=PlantParams)
     sensor_quantum: float = 0.01
     sensor_window: int = 1
@@ -73,9 +75,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ValueError, naming the field, for a value no run can use."""
-        if self.controller not in ("npid", "baseline"):
-            raise ValueError(
-                f"controller must be 'npid' or 'baseline', got {self.controller!r}")
+        if not isinstance(self.controller, str) or self.controller not in CONTROLLERS:
+            raise ValueError(f"controller must be one of "
+                             f"{', '.join(map(repr, CONTROLLERS))}, got {self.controller!r}")
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
         # A finite duration over a tiny npid.dt can still be inf ticks,
@@ -136,7 +138,7 @@ def step_experiment(setpoint: float = 1.5, n: int = 151,
 class TraceRecord:
     """Per-control-tick time series of one closed-loop run.
 
-    Bin columns are -1 for the baseline controller, which has no bins.
+    Bin columns are -1 for a controller without bins (the baseline).
     """
 
     columns = ("t", "z", "vz", "z_meas", "target", "error_bin", "integral_bin",
@@ -218,6 +220,35 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
                       steady_state_error=sse, saturation_fraction=sat)
 
 
+def _npid(cfg: ExperimentConfig):
+    """The spiking controller, recording its bins and no raster."""
+    net = build_npid(cfg.npid)
+    net.record_raster(True, raster=False)
+    bins = attrgetter("error_bin", "integral_bin", "deriv_bin", "output_bin")
+    return net.step, lambda: bins(net.fetch_trace())
+
+
+def _baseline(cfg: ExperimentConfig):
+    """The discrete PID with the spiking controller's gains, output clamp
+    and integral leak, fed the same sensor derivative, so a comparison
+    isolates the position coding."""
+    state, npid = PidState(), cfg.npid
+    clamp = (npid.output_grid.lo, npid.output_grid.hi)
+
+    def step(setpoint, z_meas, d_meas):
+        return pid_step(state, setpoint, z_meas, npid.dt, npid.gains,
+                        clamp=clamp, lam=npid.decay, derivative=d_meas)
+
+    return step, lambda: tuple([-1] * cfg.ticks for _ in range(4))
+
+
+# The one list of closed-loop controllers, by ExperimentConfig.controller:
+# cfg -> (step, bins).  step(setpoint, z_meas, d_meas) is one tick's thrust
+# offset [N]; bins() is the run's error, integral, derivative and output
+# bin columns.
+CONTROLLERS = {"npid": _npid, "baseline": _baseline}
+
+
 def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     """Closed loop from rest: sense, control, then integrate the plant
     through the physics sub-steps of one control period in one call."""
@@ -231,14 +262,7 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     hover = hover_thrust(params)
     trace = TraceRecord()
 
-    net: NpidNetwork | None = None
-    pid_st: PidState | None = None
-    if cfg.controller == "npid":
-        net = build_npid(cfg.npid)
-        net.record_raster(True, raster=False)  # bins only
-    else:
-        pid_st = PidState()
-    out_grid = cfg.npid.output_grid
+    step, bins = CONTROLLERS[cfg.controller](cfg)
     z_col, vz_col, z_meas_col = trace.z, trace.vz, trace.z_meas
     u_col, thrust_col = trace.u_newton, trace.thrust_total
 
@@ -246,16 +270,7 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
         z_meas, climb = sense(sensor, plant, dt_ctrl)
         # The controller takes the error derivative; with a constant
         # set-point that is the negated climb rate.
-        d_meas = -climb
-        if net is not None:
-            u = net.step(setpoint, z_meas, d_meas)
-        else:
-            # Same output clamp, integral leak and sensor derivative as
-            # the spiking controller, so the comparison isolates the
-            # position coding.
-            u = pid_step(pid_st, setpoint, z_meas, dt_ctrl, cfg.npid.gains,
-                         clamp=(out_grid.lo, out_grid.hi), lam=cfg.npid.decay,
-                         derivative=d_meas)
+        u = step(setpoint, z_meas, -climb)
         thrust_cmd = hover + u + battery_sag(plant.t, beta)
 
         z_col.append(plant.z)
@@ -268,13 +283,7 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
 
     trace.t = [k * dt_ctrl for k in range(n_ticks)]
     trace.target = [setpoint] * n_ticks
-    if net is not None:
-        bins = net.fetch_trace()
-        trace.error_bin, trace.integral_bin = bins.error_bin, bins.integral_bin
-        trace.deriv_bin, trace.u_bin = bins.deriv_bin, bins.output_bin
-    else:
-        trace.error_bin, trace.integral_bin = [-1] * n_ticks, [-1] * n_ticks
-        trace.deriv_bin, trace.u_bin = [-1] * n_ticks, [-1] * n_ticks
+    trace.error_bin, trace.integral_bin, trace.deriv_bin, trace.u_bin = bins()
 
     meas_grid = cfg.npid.target_grid.build()
     return trace, _metrics(trace, cfg, meas_grid)

@@ -94,8 +94,9 @@ class Netlist:
     def validate(self) -> None:
         """Check the columns: one-dimensional arrays of the right kind and
         of equal length within each table, finite weights and thresholds,
-        unique ids, endpoints in range, delays 0 or 1.  Each rejection is a
-        ValueError naming the field (and the first bad row of a weight or
+        integer weights even and in [-256, 254] (criterion 4), unique ids,
+        endpoints in range, delays 0 or 1.  Each rejection is a ValueError
+        naming the field (and the first bad row of a weight or
         threshold)."""
         for table in (self.neurons, self.synapses):
             for (name, col), kinds in zip(vars(table).items(), table.kinds):
@@ -113,6 +114,13 @@ class Netlist:
                 k = int(np.argmin(np.isfinite(col)))
                 raise ValueError(f"{table.section}.{name} row {k} is {col[k]}, "
                                  "not a finite number")
+        weight = self.synapses.weight
+        if weight.dtype.kind in "iu":
+            bad = (weight < -256) | (weight > 254) | ((weight & 1) != 0)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"synapses.weight row {k} is {weight[k]}, not an even "
+                                 "integer in [-256, 254]")
         n = len(self.neurons)
         if len(np.unique(self.neurons.id)) != n:
             raise ValueError("neurons.id has duplicate ids")
@@ -363,7 +371,14 @@ class NetlistRuntime:
 
         reduce = np.flatnonzero(layer == LAYER_REDUCE).astype(np.int32)
         outputs = netlist.meta.get("unit_outputs", {})
-        sizes = [grid["n"] for grid in outputs.values()]
+        if not isinstance(outputs, dict):
+            raise ValueError(f"meta.unit_outputs must be an object, got {outputs!r}")
+        sizes = [grid.get("n") if isinstance(grid, dict) else None
+                 for grid in outputs.values()]
+        for name, size in zip(outputs, sizes):
+            if type(size) is not int or size < 1:
+                raise ValueError(f"meta.unit_outputs.{name} must be an object whose n "
+                                 f"is an integer >= 1, got {outputs[name]!r}")
         if sum(sizes) != len(reduce):
             raise ValueError(f"meta unit_outputs has {sum(sizes)} output bins but the "
                              f"netlist has {len(reduce)} reduce neurons")

@@ -1,5 +1,6 @@
-"""Reference controllers: a conventional discrete PID and a bin-level
-arithmetic oracle that mirrors the spiking controller's semantics.
+"""Reference controllers: the closed loop's baseline PID, which takes the
+spiking controller's inputs (the measured error derivative included), and
+a bin-level arithmetic oracle that mirrors its semantics.
 
 The oracle performs the same pipeline (error, decayed integral, gain-
 weighted output) by direct arithmetic on grid values and rounds each
@@ -67,41 +68,22 @@ class PidGains:
 @dataclass
 class PidState:
     integral: float = 0.0
-    prev_error: float = 0.0
-    initialized: bool = False
 
 
-def pid_step(state: PidState, r: float, y: float, dt: float, gains: PidGains,
-             clamp: tuple[float, float] | None = None, lam: float = 1.0,
-             derivative: float | None = None) -> float:
-    """One step of the discrete PID:
+def pid_step(state: PidState, r: float, y: float, dt: float, gains: PidGains, *,
+             clamp: tuple[float, float], lam: float, derivative: float) -> float:
+    """One step of the discrete PID on a measured error derivative:
 
         e = r - y
         i <- lam * i + e * dt
-        d = (e - e_prev) / dt        (0 on the first step)
-        u = kp*e + (kp/ti)*i + (kp*td)*d, clamped to the output range
-
-    The error derivative can be overridden with an externally measured
-    value (mirroring the controller that feeds its derivative input
-    directly); by default it is the backward difference of the error,
-    seeded so the first step produces no derivative kick.
+        u = kp*e + (kp/ti)*i + (kp*td)*derivative, clamped to clamp
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     e = r - y
-    if not state.initialized:
-        state.prev_error = e
-        state.initialized = True
     state.integral = lam * state.integral + e * dt
-    if derivative is None:
-        d = (e - state.prev_error) / dt
-    else:
-        d = derivative
-    state.prev_error = e
-    u = gains.kp * e + gains.ki * state.integral + gains.kd * d
-    if clamp is not None:
-        u = min(max(u, clamp[0]), clamp[1])
-    return u
+    u = gains.kp * e + gains.ki * state.integral + gains.kd * derivative
+    return min(max(u, clamp[0]), clamp[1])
 
 
 # -- grid rounding (oracle side) -------------------------------------------

@@ -426,9 +426,15 @@ def build_adder(inputs, output: ValueGrid, mode: str = MODE_NEAREST,
             "adder output grid must contain the value 0 "
             "(the aggregate layer splits into >=0 and <=0 sub-populations)"
         )
-    for spec in specs:
+    for p, spec in enumerate(specs):
         if spec.sign not in (1, -1):
             raise ValueError(f"input sign must be +1 or -1, got {spec.sign}")
+        # A NaN or infinite weight makes every sum through the port NaN or
+        # infinite, which no threshold ladder bins.  Python floats
+        # overflow to inf without a warning.
+        if not math.isfinite(spec.gain * max(abs(spec.grid.lo), abs(spec.grid.hi))):
+            raise ValueError(f"input {p} of adder {name!r}: gain {spec.gain!r} "
+                             "must give finite weights")
 
     float_weights = []
     for spec in specs:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spikepid import harness
+from spikepid import cli, harness
 from spikepid.grids import make_grid
 from spikepid.harness import (
     AdderCheckReport,
@@ -128,7 +128,7 @@ class TestRunStepResponse:
             run_step_response(step_experiment(duration=-1.0))
 
     @pytest.mark.parametrize("name,value", [
-        ("controller", "pid"),
+        ("controller", "pid"), ("controller", ["npid"]),
         ("duration", 0.0), ("duration", math.inf), ("duration", 0.001),
         ("duration", 1e308),  # finite, but 1e308 s x 70 Hz ticks is inf
         ("rate", -70.0), ("rate", math.nan), ("rate", 0.0),
@@ -170,6 +170,44 @@ class TestRunStepResponse:
         t1, _ = run_step_response(replace(cfg, physics_substeps=10))
         t2, _ = run_step_response(replace(cfg, physics_substeps=20))
         assert abs(t1.z[-1] - t2.z[-1]) < 1e-3
+
+
+class TestControllerTable:
+    """CONTROLLERS is the one place that names a controller: a third
+    entry is flown by the config, the loop and the CLI with no other
+    edit, and an unknown name is rejected with the table's keys."""
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        def build(cfg):
+            return (lambda setpoint, z_meas, d_meas: 0.0,
+                    lambda: tuple([-1] * cfg.ticks for _ in range(4)))
+        monkeypatch.setitem(harness.CONTROLLERS, "fake", build)
+
+    def test_config_and_loop_fly_a_new_entry(self, fake):
+        cfg = ExperimentConfig(npid=step_experiment(n=15).npid, setpoint=1.0,
+                               duration=1.0, controller="fake")
+        trace, _ = run_step_response(cfg)
+        assert len(trace) == cfg.ticks
+        assert set(trace.u_newton) == {0.0}
+        assert set(trace.error_bin) == set(trace.u_bin) == {-1}
+        assert step_experiment(n=15, controller="fake").label == "fake-n15-uniform"
+
+    def test_cli_run_and_compare_take_a_new_entry(self, fake, capsys, tmp_path):
+        assert cli.main(["run", "--controller", "fake", "--neurons", "15",
+                         "--duration", "1"]) == 0
+        assert capsys.readouterr().out.startswith("fake step to")
+        out = tmp_path / "compare.csv"
+        assert cli.main(["compare", "--neurons", "15", "--duration", "1",
+                         "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        col = header.split(",").index("controller")
+        assert [r.split(",")[col] for r in rows] == ["npid", "baseline", "fake"]
+
+    def test_unknown_name_rejected_with_the_keys(self, fake):
+        with pytest.raises(ValueError, match="^controller must be one of "
+                                             "'npid', 'baseline', 'fake', got 'pid'$"):
+            step_experiment(n=15, controller="pid")
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_closed_loop.json"
@@ -229,6 +267,33 @@ class TestGoldenTraces:
                        for key, (_, metrics) in runs.items()
                        for name in PINNED_METRICS)
         assert hashlib.sha256(text.encode()).hexdigest() == RUN_METRICS_SHA256
+
+
+class TestBaselineTraces:
+    """SHA-256 of the baseline controller's trace CSV for four runs: two
+    set-points, a windowed sensor (whose climb is not the error's one-tick
+    difference) and a faster rate with battery sag.  The golden file
+    holds only spiking-controller runs, so these pin the baseline."""
+
+    DIGESTS = {
+        (("setpoint", 0.7),):
+            "20a14303bad0deaa7bbcb2d0a7326e49627f49a176732b28ef8379946cbafce2",
+        (("setpoint", 2.3),):
+            "b5d0e130e4e9e176cc2ffef44513ee21a856ae9b8ab45530eebc64c99006d775",
+        (("sensor_window", 3),):
+            "fe1d7c8108e5861ecd8c32be7ac780cebf7c855fc1e730b7abf1af4fad5bfbcd",
+        (("rate", 140.0), ("battery_beta", 0.05)):
+            "ef3b6c7bc23e4e05232da283f448c9273b406ff5e0cfd161a5e3ca6642efb9c3",
+    }
+
+    @pytest.mark.parametrize("run", list(DIGESTS),
+                             ids=lambda run: ",".join(f"{k}={v}" for k, v in run))
+    def test_trace_csv_matches_pin(self, tmp_path, run):
+        trace, _ = run_step_response(step_experiment(controller="baseline",
+                                                     **dict(run)))
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[run]
 
 
 class TestVerifyAdder:

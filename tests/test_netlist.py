@@ -227,6 +227,24 @@ class TestSerialization:
             Netlist.load(path)
 
 
+    @pytest.mark.parametrize("bad", [9999, 3, 256, -258])
+    def test_quantized_weight_outside_criterion_4_rejected_naming_its_row(
+            self, bad, tmp_path):
+        """A saved quantized N=15 controller with an odd or out-of-range
+        integer weight in two rows: load names the first of them."""
+        path = tmp_path / "net.npz"
+        build_npid(default_config(n=15, quantized=True)).export_netlist().save(path)
+        with np.load(path, allow_pickle=False) as z:
+            d = dict(z)
+        row = len(d["synapses.weight"]) // 2
+        d["synapses.weight"][[row + 5, row]] = bad
+        with open(path, "wb") as f:
+            np.savez(f, **d)
+        with pytest.raises(ValueError, match=rf"synapses.weight row {row} is {bad}, "
+                                             r"not an even integer in \[-256, 254\]"):
+            Netlist.load(path)
+
+
 NETLIST_PIN_SHA256 = (
     "6466314b7b1a056cdac04f9904c6c16fb9b2d56b5f7632e52c8a63ad3546077d")
 
@@ -514,6 +532,18 @@ class TestGraphRuntime:
         getattr(nl.synapses, column)[0] = len(nl.neurons)
         with pytest.raises(ValueError, match=f"synapses.{column}"):
             NetlistRuntime(nl)
+
+    @pytest.mark.parametrize("outputs, name", [
+        ({"adder": [1, 2]}, "meta.unit_outputs.adder"),
+        ({"adder": {"n": "5"}}, "meta.unit_outputs.adder"),
+        ({"adder": {}}, "meta.unit_outputs.adder"),
+        ([5], "meta.unit_outputs"),
+    ])
+    def test_unit_outputs_that_are_not_grids_rejected_by_name(self, outputs, name):
+        _, nl = fig2_setup()
+        with pytest.raises(ValueError, match=f"^{name} must be an object"):
+            NetlistRuntime(Netlist(nl.neurons, nl.synapses,
+                                   {**nl.meta, "unit_outputs": outputs}))
 
     def test_reset_equals_fresh_runtime(self):
         net = build_npid(default_config(n=15, decay=0.9))

@@ -1,8 +1,10 @@
 """Conventional PID and the bin-level arithmetic oracle."""
 
 import functools
+import math
 import tracemalloc
 from bisect import bisect_right
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,22 +50,29 @@ class TestPidGains:
 
 
 class TestPidStep:
+    """pid_step takes the clamp, the integral leak and the measured error
+    derivative on every call; OPEN is a clamp that never binds."""
+
+    OPEN = (-math.inf, math.inf)
+
     def test_zero_error_zero_output(self):
         st = PidState()
         for _ in range(50):
-            assert pid_step(st, 2.0, 2.0, DT, GAINS) == 0.0
+            assert pid_step(st, 2.0, 2.0, DT, GAINS, clamp=self.OPEN, lam=1.0,
+                            derivative=0.0) == 0.0
 
     def test_first_step_example(self):
-        # e=1.5, i=1.5/70, d=0 (seeded): u = 1.305 + 5.11765 * 0.0214286
-        st = PidState()
-        u = pid_step(st, 1.5, 0.0, DT, GAINS)
+        # e=1.5, i=1.5/70, d=0: u = 1.305 + 5.11765 * 0.0214286
+        u = pid_step(PidState(), 1.5, 0.0, DT, GAINS, clamp=self.OPEN, lam=1.0,
+                     derivative=0.0)
         assert u == pytest.approx(1.414664, abs=1e-5)
-        u_clamped = pid_step(PidState(), 1.5, 0.0, DT, GAINS,
-                             clamp=(-1.25, 1.25))
+        u_clamped = pid_step(PidState(), 1.5, 0.0, DT, GAINS, clamp=(-1.25, 1.25),
+                             lam=1.0, derivative=0.0)
         assert u_clamped == 1.25
 
     def test_lower_clamp(self):
-        u = pid_step(PidState(), -1.5, 0.0, DT, GAINS, clamp=(-1.25, 1.25))
+        u = pid_step(PidState(), -1.5, 0.0, DT, GAINS, clamp=(-1.25, 1.25), lam=1.0,
+                     derivative=0.0)
         assert u == -1.25
 
     def test_integral_leak(self):
@@ -71,36 +80,36 @@ class TestPidStep:
         constant error sums a geometric series, not a straight line."""
         st = PidState()
         for _ in range(10):
-            u = pid_step(st, 1.0, 0.0, DT, GAINS, lam=0.5)
+            u = pid_step(st, 1.0, 0.0, DT, GAINS, clamp=self.OPEN, lam=0.5,
+                         derivative=0.0)
         assert st.integral == pytest.approx((1 - 0.5 ** 10) / (1 - 0.5) * DT)
         assert u == pytest.approx(GAINS.kp + GAINS.ki * st.integral)
-
-    def test_no_derivative_kick_on_first_step(self):
-        st = PidState()
-        pid_step(st, 1.5, 0.0, DT, GAINS)
-        assert st.prev_error == 1.5  # seeded, so d was 0
 
     def test_constant_error_grows_linearly(self):
         st = PidState()
         eps = 0.01
-        us = [pid_step(st, eps, 0.0, DT, GAINS) for _ in range(100)]
-        diffs = np.diff(us[1:])  # after the first tick d stays 0
-        assert np.allclose(diffs, GAINS.ki * eps * DT)
+        us = [pid_step(st, eps, 0.0, DT, GAINS, clamp=self.OPEN, lam=1.0,
+                       derivative=0.0) for _ in range(100)]
+        assert np.allclose(np.diff(us), GAINS.ki * eps * DT)
 
     def test_decay_reduces_to_plain_form_at_one(self):
         st = PidState()
         for k in range(10):
-            pid_step(st, 1.0, 0.0, DT, GAINS, lam=1.0)
+            pid_step(st, 1.0, 0.0, DT, GAINS, clamp=self.OPEN, lam=1.0, derivative=0.0)
         assert st.integral == pytest.approx(10 * DT)
 
     def test_external_derivative_override(self):
         st = PidState()
-        u = pid_step(st, 0.0, 0.0, DT, GAINS, derivative=0.5)
+        u = pid_step(st, 0.0, 0.0, DT, GAINS, clamp=self.OPEN, lam=1.0, derivative=0.5)
         assert u == pytest.approx(GAINS.kd * 0.5)
+
+    def test_state_is_the_integral_alone(self):
+        assert [f.name for f in fields(PidState)] == ["integral"]
 
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
-            pid_step(PidState(), 1, 0, 0.0, GAINS)
+            pid_step(PidState(), 1, 0, 0.0, GAINS, clamp=self.OPEN, lam=1.0,
+                     derivative=0.0)
 
 
 class TestRoundToGrid:
@@ -256,7 +265,7 @@ class TestOracle:
             y = rng.uniform(1.5, 2.5)
             d = rng.uniform(-0.4, 0.4)
             got = grids.output.values[oracle.step(st, t, y, d)]
-            want = pid_step(pid, t, y, DT, GAINS, clamp=(-1.25, 1.25),
+            want = pid_step(pid, t, y, DT, GAINS, clamp=(-1.25, 1.25), lam=1.0,
                             derivative=d)
             # keep the reference integral aligned with what its grid holds
             pid.integral = grids.integral.values[st.integral_bin]

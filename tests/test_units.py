@@ -153,6 +153,16 @@ class TestBuildAdder:
                                                  r"output grid \[-5e-324, 5e-324\]"):
                 build_adder([(tiny, 1, 1.0)], tiny, quantized=quantized)
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_non_finite_weights_rejected_naming_the_port(self, gain):
+        """A NaN or infinite gain, or one that overflows a weight (1e308
+        times the grid's 2.0), would make every sum through the port
+        non-finite; the error names the port."""
+        g = make_grid(-1, 1, 3)
+        with pytest.raises(ValueError, match=r"^input 1 of adder 'sum': gain "):
+            build_adder([(g, 1, 1.0), (make_grid(-2, 2, 5), 1, gain)], make_grid(-2, 2, 5),
+                        name="sum")
+
     def test_bad_sign_rejected(self):
         g = make_grid(-1, 1, 3)
         with pytest.raises(ValueError):
