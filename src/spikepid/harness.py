@@ -178,6 +178,7 @@ class RunMetrics:
 def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
              meas_grid: ValueGrid) -> RunMetrics:
     z = trace.z
+    zs = np.array(z)  # float64: each array op below rounds as its scalar form
     sp = cfg.setpoint
     z0 = z[0]
     step = sp - z0
@@ -187,7 +188,7 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     # Band: the set-point's measurement bin plus one bin either side.  The
     # altitudes are finite, so searchsorted is encode's bisect_left.
     sp_bin = encode(meas_grid, sp)
-    z_bins = np.searchsorted(meas_grid._boundaries, z, side="left")
+    z_bins = np.searchsorted(meas_grid._boundaries, zs, side="left")
     out_of_band = np.flatnonzero(np.abs(z_bins - sp_bin) > 1)
     last_out = int(out_of_band[-1]) if len(out_of_band) else -1
     settled = last_out < n - 1  # inside the band from last_out + 1 on
@@ -196,12 +197,16 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     if step == 0:
         rise = 0.0
     else:
-        frac = [(zz - z0) / step for zz in z]
-        t10 = next((k * dt for k, fr in enumerate(frac) if fr >= 0.1), math.inf)
-        t90 = next((k * dt for k, fr in enumerate(frac) if fr >= 0.9), math.inf)
+        frac = (zs - z0) / step
+
+        def first(level):  # the first tick at or past level, in seconds
+            k = np.flatnonzero(frac >= level)
+            return int(k[0]) * dt if len(k) else math.inf
+
+        t10, t90 = first(0.1), first(0.9)
         rise = t90 - t10 if math.isfinite(t90) and math.isfinite(t10) else math.inf
 
-    over = max(0.0, max(z) - sp)  # a run starts at z = 0 <= sp
+    over = max(0.0, float(zs.max()) - sp)  # a run starts at z = 0 <= sp
     over_pct = 100.0 * over / step if step != 0 else 0.0
 
     tail = max(1, int(round(1.0 / dt)))  # the last second
@@ -213,7 +218,7 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     sse = abs(sp - total / len(z[-tail:]))
 
     out_hi = cfg.npid.output_grid.hi
-    sat = sum(1 for u in trace.u_newton if abs(u) >= out_hi) / n
+    sat = int(np.count_nonzero(np.abs(trace.u_newton) >= out_hi)) / n
 
     return RunMetrics(rise_time=rise, overshoot=over, overshoot_pct=over_pct,
                       settling_time=settling_time, settled=settled,

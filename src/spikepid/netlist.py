@@ -268,6 +268,24 @@ def _row_order(row, col, sources, nodes, ids):
     return order, down, bool(((down == below) | (down == empty)).all())
 
 
+def _grid_sizes(grids, key: str, count: int, layer: str) -> list[int]:
+    """The n of each grid in grids, meta[key] of a netlist with count
+    neurons in the layer.  Raises ValueError naming meta.key, or
+    meta.key.<name>, unless grids is an object of grid objects, each
+    with an integer n >= 1, whose sizes add up to count."""
+    if not isinstance(grids, dict):
+        raise ValueError(f"meta.{key} must be an object, got {grids!r}")
+    sizes = [grid.get("n") if isinstance(grid, dict) else None for grid in grids.values()]
+    for name, size in zip(grids, sizes):
+        if type(size) is not int or size < 1:
+            raise ValueError(f"meta.{key}.{name} must be an object whose n "
+                             f"is an integer >= 1, got {grids[name]!r}")
+    if sum(sizes) != count:
+        raise ValueError(f"meta.{key} has {sum(sizes)} bins but the netlist has "
+                         f"{count} {layer} neurons")
+    return sizes
+
+
 class NetlistRuntime:
     """Evaluates a netlist directly from its graph.
 
@@ -298,9 +316,11 @@ class NetlistRuntime:
     load); only the endpoint and delay arrays are bounds-checked here.
     Construction raises ValueError, naming the neuron, for a zero-delay
     cycle and for a source that feeds one neuron twice with the same
-    delay.  events is the number of synapses whose source fired, on the
-    last tick for delay 0 and on the tick before for delay 1: the
-    replay's synaptic-event count.
+    delay, and, naming the key, unless meta["grids"] and
+    meta["unit_outputs"] are objects of grid objects whose sizes add up
+    to the input and the reduce neurons.  events is the number of
+    synapses whose source fired, on the last tick for delay 0 and on the
+    tick before for delay 1: the replay's synaptic-event count.
     """
 
     def __init__(self, netlist: Netlist):
@@ -316,7 +336,9 @@ class NetlistRuntime:
         weight = np.asarray(synapses.weight, dtype=np.float64)
         # The stimulus table: input neuron id -> index.
         self._inputs = {ids[k]: k for k in np.flatnonzero(layer == LAYER_INPUT)}
-        self._populations = list(netlist.meta.get("grids", {}))
+        populations = netlist.meta.get("grids", {})
+        _grid_sizes(populations, "grids", len(self._inputs), "input")
+        self._populations = list(populations)
 
         # Kahn's algorithm, one frontier at a time, on the zero-delay graph.
         src0, dst0 = src[~delayed], dst[~delayed]
@@ -371,17 +393,7 @@ class NetlistRuntime:
 
         reduce = np.flatnonzero(layer == LAYER_REDUCE).astype(np.int32)
         outputs = netlist.meta.get("unit_outputs", {})
-        if not isinstance(outputs, dict):
-            raise ValueError(f"meta.unit_outputs must be an object, got {outputs!r}")
-        sizes = [grid.get("n") if isinstance(grid, dict) else None
-                 for grid in outputs.values()]
-        for name, size in zip(outputs, sizes):
-            if type(size) is not int or size < 1:
-                raise ValueError(f"meta.unit_outputs.{name} must be an object whose n "
-                                 f"is an integer >= 1, got {outputs[name]!r}")
-        if sum(sizes) != len(reduce):
-            raise ValueError(f"meta unit_outputs has {sum(sizes)} output bins but the "
-                             f"netlist has {len(reduce)} reduce neurons")
+        sizes = _grid_sizes(outputs, "unit_outputs", len(reduce), "reduce")
         self._units = [(name, _run(bins)) for name, bins in
                        zip(outputs, np.split(reduce, np.cumsum(sizes)[:-1]))]
 

@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikepid.controller import GridSpec, NpidConfig, build_npid, default_config
+from spikepid.controller import (_CACHED_CONFIGS, GridSpec, NpidConfig, _tables,
+                                 build_npid, default_config)
 from spikepid.grids import make_grid
 from spikepid.harness import step_experiment
-from spikepid.reference import PidOracle
+from spikepid.reference import PidGains, PidOracle
 from spikepid.units import AdderUnit
 
 
@@ -181,6 +182,134 @@ class TestStep:
             d = rng.uniform(-0.5, 0.5)
             net.step(t, y, d)
             assert oracle.step(st, t, y, d) == net.fetch_trace().output_bin[k]
+
+
+def _bits(net):
+    """What a network's config fixes and a table shared with the wrong
+    config would get wrong, as float.hex strings so the sign of a zero
+    counts: the target grid's lo, the control unit's weights and the
+    exported netlist's input grids."""
+    def hexed(xs):
+        return [float(x).hex() for x in xs]
+    return (float(net.grids.target_measurement.lo).hex(),
+            [hexed(w) for w in net.control_unit.weights],
+            {pop: (float(g["lo"]).hex(), hexed(g["values"]))
+             for pop, g in net.export_netlist().meta["grids"].items()})
+
+
+def _act(net, action):
+    """Apply one scripted action: a tick (t, y, d), "reset", or a
+    record_raster (on, raster) pair."""
+    if action == "reset":
+        net.reset()
+    elif len(action) == 2:
+        net.record_raster(*action)
+    else:
+        net.step(*action)
+
+
+def _state(net):
+    tr = net.fetch_trace()
+    return (net.integral_bin, tr.integral_start, tr.target_bin, tr.measurement_bin,
+            tr.error_bin, tr.integral_bin, tr.deriv_bin, tr.output_bin,
+            tr.output_newton, tr.raster)
+
+
+class TestSharedTables:
+    """Networks of one config share what the config fixes and keep their
+    own integral state and trace."""
+
+    @pytest.mark.parametrize("pair", [
+        (default_config(n=15, target_grid=GridSpec(0.0, 4.0, 15)),
+         default_config(n=15, target_grid=GridSpec(-0.0, 4.0, 15))),
+        (default_config(n=15, gains=PidGains(td=0.0)),
+         default_config(n=15, gains=PidGains(td=-0.0))),
+    ], ids=["target_grid.lo", "gains.td"])
+    def test_signed_zeros_never_share_tables(self, pair):
+        """The two configs compare and hash equal but differ in the sign
+        of a zero; built one after the other, in either order, each
+        network carries the bits of its own config, as built alone."""
+        assert pair[0] == pair[1] and hash(pair[0]) == hash(pair[1])
+        alone = []
+        for cfg in pair:
+            _tables.cache_clear()
+            bits = _bits(build_npid(cfg))
+            lo = float(cfg.target_grid.lo).hex()
+            assert bits[0] == bits[2]["target"][0] == bits[2]["measurement"][0] == lo
+            assert bits[1][2] == [float(cfg.gains.kd * v).hex()
+                                  for v in cfg.derivative_grid.build().values]
+            alone.append(bits)
+        assert alone[0] != alone[1]
+        for order in (0, 1), (1, 0):
+            _tables.cache_clear()
+            nets = [build_npid(pair[k]) for k in order]
+            assert [_bits(net) for net in nets] == [alone[k] for k in order]
+
+    def test_networks_of_one_config_share_tables_not_state(self):
+        """Two networks of one config, driven on interleaved scripts
+        (ticks, raster on and off, reset), each end as a network built
+        alone from a cold cache does on its own script."""
+        cfg = default_config(n=15, decay=0.9)
+        rng = np.random.default_rng(17)
+
+        def ticks(k):
+            return list(zip(rng.uniform(0, 4, k).tolist(), rng.uniform(0, 4, k).tolist(),
+                            rng.uniform(-0.5, 0.5, k).tolist()))
+
+        scripts = ([*ticks(30), (True, True), *ticks(40), (False, True), *ticks(5)],
+                   [(True, True), *ticks(25), "reset", *ticks(10), (True, False),
+                    *ticks(20), (True, True), *ticks(20)])
+        nets = build_npid(cfg), build_npid(cfg)
+        assert nets[0] is not nets[1]
+        for name in ("grids", "_inputs", "_ports", "units", "_err_map", "_int_map"):
+            assert getattr(nets[0], name) is getattr(nets[1], name), name
+        assert all(row.readonly for row in nets[0]._err_map + nets[0]._int_map)
+        for actions in itertools.zip_longest(*scripts):
+            for net, action in zip(nets, actions):
+                if action is not None:
+                    _act(net, action)
+        for net, script in zip(nets, scripts):
+            _tables.cache_clear()
+            alone = build_npid(cfg)
+            assert alone._err_map is not net._err_map
+            for action in script:
+                _act(alone, action)
+            assert _state(net) == _state(alone)
+
+    @pytest.mark.parametrize("field, value", [
+        ("decay", 0.8), ("mode", "floor"), ("quantized", True),
+        ("error_grid", GridSpec(-4.0, 4.0, 17)),
+    ])
+    def test_config_differing_in_one_field_gets_its_own_tables(self, field, value):
+        cfg = default_config(n=15, decay=0.9)
+        other = replace(cfg, **{field: value})
+        base, net = build_npid(cfg), build_npid(other)
+        for name in ("grids", "units", "_err_map", "_int_map"):
+            assert getattr(net, name) is not getattr(base, name), name
+        assert net.config is other
+        assert net.integral_unit.inputs[0].gain == other.decay
+        assert {u.mode for u in net.units} == {other.mode}
+        assert {u.quantized for u in net.units} == {other.quantized}
+        assert net.grids.error.n == other.error_grid.n
+
+    def test_more_configs_than_the_cache_holds_build_correct_networks(self):
+        """Cycling through more configs than the cache holds evicts every
+        one before its next build; each rebuilt network still ticks as
+        the oracle does from its own config."""
+        cfgs = [default_config(n=7, decay=1 - k / 64) for k in range(_CACHED_CONFIGS + 3)]
+        _tables.cache_clear()
+        for _ in range(2):
+            for cfg in cfgs:
+                net = build_npid(cfg)
+                oracle = PidOracle(cfg.build_grids(), cfg.gains, cfg.dt, lam=cfg.decay,
+                                   mode=cfg.mode)
+                st = oracle.fresh_state()
+                for t, y, d in ((3.5, 0.5, 0.0),) * 20 + ((0.5, 3.0, 0.3),) * 20:
+                    assert oracle.step(st, t, y, d) == net.grids.output.values.index(
+                        net.step(t, y, d))
+                    assert st.integral_bin == net.integral_bin
+        info = _tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2 * len(cfgs), _CACHED_CONFIGS)
 
 
 class TestReset:

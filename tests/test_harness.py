@@ -123,6 +123,31 @@ class TestRunStepResponse:
             assert m.settling_time <= cfg.duration
         assert 0 <= m.saturation_fraction <= 1
 
+    @pytest.mark.parametrize("cfg", [
+        step_experiment(setpoint=2.0, n=151),
+        step_experiment(setpoint=0.0, n=15),  # no step: rise time 0
+        step_experiment(setpoint=3.5, n=15, duration=0.4),  # never reaches 90%
+        step_experiment(setpoint=1.0, n=63, controller="baseline", quantized=True),
+    ], ids=["n151", "no-step", "short", "baseline"])
+    def test_metrics_equal_the_scalar_loops(self, cfg):
+        """Rise time, overshoot and saturation, which the metrics take from
+        arrays, equal the per-tick Python loops they replaced, bit for bit."""
+        trace, m = run_step_response(cfg)
+        z, sp, dt = trace.z, cfg.setpoint, cfg.npid.dt
+        step = sp - z[0]
+        rise = 0.0
+        if step != 0:
+            frac = [(zz - z[0]) / step for zz in z]
+            t10 = next((k * dt for k, fr in enumerate(frac) if fr >= 0.1), math.inf)
+            t90 = next((k * dt for k, fr in enumerate(frac) if fr >= 0.9), math.inf)
+            rise = t90 - t10 if math.isfinite(t90) and math.isfinite(t10) else math.inf
+        over = max(0.0, max(z) - sp)
+        sat = sum(1 for u in trace.u_newton
+                  if abs(u) >= cfg.npid.output_grid.hi) / len(z)
+        got = m.rise_time, m.overshoot, m.saturation_fraction
+        assert [type(v) for v in got] == [float] * 3
+        assert [v.hex() for v in got] == [v.hex() for v in (rise, over, sat)]
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             run_step_response(step_experiment(duration=-1.0))

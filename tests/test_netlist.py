@@ -538,12 +538,29 @@ class TestGraphRuntime:
         ({"adder": {"n": "5"}}, "meta.unit_outputs.adder"),
         ({"adder": {}}, "meta.unit_outputs.adder"),
         ([5], "meta.unit_outputs"),
+        (5, "meta.grids"),
+        ([{"n": 3}], "meta.grids"),
+        ({"a": 3, "b": 3}, "meta.grids.a"),
+        ({"a": {"n": 3}, "b": {"n": True}}, "meta.grids.b"),
     ])
     def test_unit_outputs_that_are_not_grids_rejected_by_name(self, outputs, name):
+        """meta.unit_outputs and meta.grids (the key name gives) are
+        checked alike, at init, before any tick can trip on them."""
         _, nl = fig2_setup()
+        key = name.split(".")[1]
         with pytest.raises(ValueError, match=f"^{name} must be an object"):
-            NetlistRuntime(Netlist(nl.neurons, nl.synapses,
-                                   {**nl.meta, "unit_outputs": outputs}))
+            NetlistRuntime(Netlist(nl.neurons, nl.synapses, {**nl.meta, key: outputs}))
+
+    @pytest.mark.parametrize("key, grids, message", [
+        ("grids", {"a": {"n": 3}}, "meta.grids has 3 bins but the netlist has 6 input"),
+        ("grids", {}, "meta.grids has 0 bins but the netlist has 6 input"),
+        ("unit_outputs", {"adder": {"n": 4}},
+         "meta.unit_outputs has 4 bins but the netlist has 5 reduce"),
+    ], ids=["grids-short", "grids-empty", "unit_outputs-short"])
+    def test_grid_sizes_that_miss_the_layer_rejected(self, key, grids, message):
+        _, nl = fig2_setup()
+        with pytest.raises(ValueError, match=f"^{message} neurons$"):
+            NetlistRuntime(Netlist(nl.neurons, nl.synapses, {**nl.meta, key: grids}))
 
     def test_reset_equals_fresh_runtime(self):
         net = build_npid(default_config(n=15, decay=0.9))
@@ -607,8 +624,10 @@ def conflicting_orders(k, weight):
     ids = [f"p{i}[{b}]" for i in range(k) for b in (0, 1)] + [f"n{j}" for j in range(k)]
     neurons = Neurons(ids, ["input"] * 2 * k + ["reduce"] * k, [0] * 3 * k)
     edges = [(2 * ((j + e) % k) + 1, 2 * k + j, weight, 0) for j in range(k) for e in (0, 1)]
+    grid = make_grid(0, 1, 2).to_dict()
     return Netlist(neurons, Synapses(*map(list, zip(*edges))),
-                   {"unit_outputs": {"u": {"n": k}}})
+                   {"grids": {f"p{i}": grid for i in range(k)},
+                    "unit_outputs": {"u": {"n": k}}})
 
 
 def summing_units(weights, orders):

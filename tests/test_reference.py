@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spikepid.controller import build_npid, default_config
+from spikepid.controller import _tables, build_npid, default_config
 from spikepid.harness import step_experiment
 from spikepid.grids import make_grid
 from spikepid.reference import (
@@ -339,6 +339,7 @@ class TestStageMaps:
         def peak(build, q):
             cfg = default_config(n=1001, quantized=q)
             grids = cfg.build_grids()
+            _tables.cache_clear()  # a network of a cached config builds nothing
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
