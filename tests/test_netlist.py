@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import json
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,14 +479,12 @@ class TestGraphRuntime:
             assert np.array_equal(got, want)
 
     def test_opaque_ids_replay_unchanged(self):
+        """Every neuron renamed, input neurons included: the runtime finds
+        neurons by their place in the layer, not by id."""
         net = build_npid(default_config(n=15, decay=0.9))
         nl = net.export_netlist()
-        rename = {}
-        for n in nl.neurons:
-            if n.layer != LAYER_INPUT:
-                rename[n.id] = f"x{len(rename)}"
         opaque = Netlist(
-            neurons=Neurons([rename.get(i, i) for i in nl.neurons.id],
+            neurons=Neurons([f"x{k}" for k in range(len(nl.neurons))],
                             nl.neurons.layer, nl.neurons.threshold),
             synapses=nl.synapses,  # endpoints are indices, not ids
             meta=nl.meta)
@@ -571,6 +571,20 @@ class TestGraphRuntime:
         stimuli = random_stimuli(net, 100, seed=2)
         assert replay(used, stimuli) == replay(NetlistRuntime(nl), stimuli)
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_runtime_keeps_under_half_a_megabyte(self, quantized):
+        """An N=151 runtime keeps one weight per row of its broadcast
+        levels and its reduce levels' synapses: not a block of sources x
+        neurons, which came to 1.4 MB."""
+        nl = build_npid(default_config(n=151, quantized=quantized)).export_netlist()
+        tracemalloc.start()
+        try:
+            rt = NetlistRuntime(nl)  # held while its memory is read
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.5e6
+
     def test_reduce_without_one_winner_raises(self):
         _, nl = fig2_setup()
         silent = Neurons(nl.neurons.id, nl.neurons.layer,
@@ -583,12 +597,16 @@ class TestGraphRuntime:
         _, nl = fig2_setup()
         rt = NetlistRuntime(nl)
         rt.step({"a": 2, "b": 2})
-        for bad in ({"a": 0, "ghost": 1}, {"a": 3, "b": 0}, {"a": -1, "b": 0}):
-            with pytest.raises(ValueError):
-                rt.step(bad)
+        for pop, b in (("ghost", 1), ("a", 3), ("a", -1), ("a", "1"), ("a", 1.0),
+                       ("a", True)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"stimulus {pop!r} bin {b!r} names no input neuron")):
+                rt.step({"a": 0, "b": 0, pop: b})
         fresh = NetlistRuntime(nl)
         fresh.step({"a": 2, "b": 2})
         assert rt.step({"a": 0, "b": 1}) == fresh.step({"a": 0, "b": 1})
+        assert rt.step({"a": np.int64(2), "b": 1}) == fresh.step({"a": 2, "b": 1})
+        assert rt.step({"a": 1, "b": 0}) == fresh.step({"a": 1, "b": 0})
 
     @pytest.mark.parametrize("left_out", [
         pops for k in (1, 2, 3)
@@ -668,16 +686,34 @@ def check_rotated_units(weights, k):
         assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == want, active
 
 
+def relayed_pair(weights, x1_edges):
+    """Three two-bin input populations; bin 1 of population i carries
+    weights[i] into neuron x0 (threshold 0.5), and x1 (threshold -0.5)
+    takes x1_edges, (population, weight) pairs, in file order.  x0 and x1
+    make one level; unit u_j relays x_j, picking bin 1 iff it fires."""
+    ids = [f"p{i}[{b}]" for i in range(3) for b in (0, 1)] + ["x0", "x1"]
+    ids += [f"u{j}.reduce[{b}]" for j in (0, 1) for b in (0, 1)]
+    neurons = Neurons(ids, [LAYER_INPUT] * 6 + ["aggregate-pos"] * 2 + ["reduce"] * 4,
+                      [0] * 6 + [0.5, -0.5] + [0, 1] * 2)
+    edges = [(2 * i + 1, 6, w, 0) for i, w in enumerate(weights)]
+    edges += [(2 * i + 1, 7, w, 0) for i, w in x1_edges]
+    edges += [(6 + j, 8 + 2 * j + b, 4 * b - 2, 0) for j in (0, 1) for b in (0, 1)]
+    grid = make_grid(0, 1, 2).to_dict()
+    return Netlist(neurons, Synapses(*map(list, zip(*edges))),
+                   {"grids": {f"p{i}": grid for i in range(3)},
+                    "unit_outputs": {"u0": {"n": 2}, "u1": {"n": 2}}})
+
+
 class TestRowOrder:
-    """Each level's rows come in the order its sources first appear in the
-    file.  A level where some neuron takes its in-edges in another order
-    is replayed synapse by synapse, and each neuron still adds its active
-    in-edges in file order."""
+    """A level is broadcast only if its neurons take the same rows in one
+    shared file order, each with the weights of the first times its sign.
+    Any other level is replayed synapse by synapse, and each neuron still
+    adds its active in-edges in file order."""
 
     def test_out_of_order_sum_past_2_53_replays_in_file_order(self):
-        """A neuron earlier in the file takes p1 before p2, so the rows
-        (p1, p2, p0) miss the unit's p0, p1, p2; summed in row order the
-        weights would pick the other bin."""
+        """A decoy neuron first in the file takes p1 and p2 only, so the
+        level is not broadcast; summed in the order the sources first
+        appear (p1, p2, p0) the unit's weights would pick the other bin."""
         weights = (1.0, 1e16, -1e16)
         assert file_order_sum(weights) < 0.5 <= file_order_sum(weights[1:] + weights[:1])
         nl = summing_netlist([0, 1, 2], weights, relay=False)
@@ -694,8 +730,8 @@ class TestRowOrder:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_conflicting_source_orders_with_integer_weights_build(self, k):
-        """Weight 1.0: every partial sum is an exact integer, so any row
-        order gives the file-order sum and the level is accepted."""
+        """Neurons that take their sources in conflicting orders make a
+        level that is not broadcast: it builds, and replays per synapse."""
         NetlistRuntime(conflicting_orders(k, 1.0))
 
     @pytest.mark.parametrize("in_edges", [3, 11])
@@ -711,6 +747,28 @@ class TestRowOrder:
         """k units over three sources, each from another start: the
         weights sum to 1 in one order and 0 in the others."""
         check_rotated_units((1e16, -1e16, 1.0), k)
+
+    @pytest.mark.parametrize("miss", ["ulp", "missing", "order"])
+    def test_near_broadcast_level_replays_per_synapse(self, miss):
+        """x0 takes W from p0, p1, p2 and x1 takes -W, but x1 misses a
+        broadcast level one way: one weight one ulp off its negation, the
+        synapse from p1 left out, or p1 and p2 taken in the other order
+        (its weights still -W in file order).  On some activity x1's own
+        file-order sum and -1 times x0's pick different bins; each unit
+        follows its own neuron's sum."""
+        weights = (2.0 ** 53, 1.0, -2.0 ** 53)
+        x1 = {"ulp": [(0, -weights[0]), (1, -np.nextafter(1.0, 2.0)), (2, -weights[2])],
+              "missing": [(0, -weights[0]), (2, -weights[2])],
+              "order": [(0, -weights[0]), (2, -weights[1]), (1, -weights[2])]}[miss]
+        rt = NetlistRuntime(relayed_pair(weights, x1))
+        apart = False
+        for active in itertools.product((0, 1), repeat=3):
+            s0 = file_order_sum(w for w, a in zip(weights, active) if a)
+            s1 = file_order_sum(w for i, w in x1 if active[i])
+            apart |= (-s0 >= -0.5) != (s1 >= -0.5)
+            assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {
+                "u0": int(s0 >= 0.5), "u1": int(s1 >= -0.5)}, active
+        assert apart
 
     def test_source_feeding_a_neuron_twice_rejected(self):
         _, nl = fig2_setup()
