@@ -20,7 +20,10 @@ import numpy as np
 from .controller import (GridSpec, NpidConfig, build_npid, default_config,
                          write_csv_rows)
 from .grids import ValueGrid, encode, make_grid
-from .plant import (
+# plant_step is not called here; it stays imported because
+# perfbench/tracing.py wraps harness.plant_step by name.
+from .plant import (  # noqa: F401
+    Integrator,
     PlantParams,
     PlantState,
     SensorModel,
@@ -259,17 +262,17 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
     through the physics sub-steps of one control period in one call."""
     dt_ctrl = cfg.npid.dt
     substeps = cfg.physics_substeps
-    dt_phys = dt_ctrl / substeps
     n_ticks = cfg.ticks
     setpoint, params, beta = cfg.setpoint, cfg.plant, cfg.battery_beta
     plant = PlantState()
+    advance = Integrator(params, dt_ctrl / substeps, substeps).advance
     sensor = SensorModel(quantum=cfg.sensor_quantum, window=cfg.sensor_window)
     hover = hover_thrust(params)
     trace = TraceRecord()
 
     step, bins = CONTROLLERS[cfg.controller](cfg)
-    z_col, vz_col, z_meas_col = trace.z, trace.vz, trace.z_meas
-    u_col, thrust_col = trace.u_newton, trace.thrust_total
+    z_add, vz_add, z_meas_add = trace.z.append, trace.vz.append, trace.z_meas.append
+    u_add, thrust_add = trace.u_newton.append, trace.thrust_total.append
 
     for _ in range(n_ticks):
         z_meas, climb = sense(sensor, plant, dt_ctrl)
@@ -278,13 +281,13 @@ def run_step_response(cfg: ExperimentConfig) -> tuple[TraceRecord, RunMetrics]:
         u = step(setpoint, z_meas, -climb)
         thrust_cmd = hover + u + battery_sag(plant.t, beta)
 
-        z_col.append(plant.z)
-        vz_col.append(plant.vz)
-        z_meas_col.append(z_meas)
-        u_col.append(u)
-        thrust_col.append(thrust_cmd)
+        z_add(plant.z)
+        vz_add(plant.vz)
+        z_meas_add(z_meas)
+        u_add(u)
+        thrust_add(thrust_cmd)
 
-        plant = plant_step(plant, thrust_cmd, dt_phys, params, substeps)
+        advance(plant, thrust_cmd)
 
     trace.t = [k * dt_ctrl for k in range(n_ticks)]
     trace.target = [setpoint] * n_ticks

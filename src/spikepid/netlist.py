@@ -387,8 +387,14 @@ class NetlistRuntime:
             self._levels.append((_run(nodes), threshold[nodes], src[mine].astype(np.intp),
                                  weight, None, col.astype(np.intp)))
 
-        self._units = [(name, _run(bins)) for name, bins in
-                       _owned(netlist.meta, "unit_outputs", layer, LAYER_REDUCE).items()]
+        # Every unit's reduce neurons, unit after unit, so that one read
+        # finds all winners; per position, its unit and its bin there.
+        units = _owned(netlist.meta, "unit_outputs", layer, LAYER_REDUCE)
+        self._unit_names = list(units)
+        self._reduce = _run(np.concatenate([np.empty(0, np.intp), *units.values()]))
+        self._unit_of = [u for u, bins in enumerate(units.values()) for _ in bins]
+        self._bin_of = [b for bins in units.values() for b in range(len(bins))]
+        self._one_each = list(range(len(units)))  # _unit_of of the hits of a good tick
 
     @property
     def events(self) -> int:
@@ -429,10 +435,12 @@ class NetlistRuntime:
             else:  # each synapse's neuron: the fired weights, added in file order
                 now[nodes] = np.bincount(col[fired], weights=weight[fired],
                                          minlength=len(threshold)) >= threshold
-        winners = {}
-        for name, reduce in self._units:
-            won = now[reduce].nonzero()[0]
-            if len(won) != 1:
-                raise AssertionError(f"unit {name!r} reduce produced {len(won)} winners")
-            winners[name] = int(won[0])
-        return winners
+        hits = now[self._reduce].nonzero()[0].tolist()
+        units = [self._unit_of[h] for h in hits]
+        if units != self._one_each:
+            for u, name in enumerate(self._unit_names):
+                won = units.count(u)
+                if won != 1:
+                    raise AssertionError(f"unit {name!r} reduce produced {won} winners")
+        bin_of = self._bin_of
+        return {name: bin_of[h] for name, h in zip(self._unit_names, hits)}

@@ -11,9 +11,11 @@ Non-finite policy: the plant rejects a non-finite input where it enters,
 with a ValueError that names it, before it touches any state.
 PlantParams rejects a mass that is not finite and positive, a drag or
 motor_tau that is not finite and >= 0, and a hover_adjust that puts the
-hover thrust outside the thrust limits [0, 4 * mass * G]; plant_step
-rejects a command that is not finite, a dt that is not finite and
-positive, and substeps that is not an integer >= 1; sense rejects a
+hover thrust outside the thrust limits [0, 4 * mass * G]; Integrator
+rejects a dt that is not finite and positive and substeps that is not
+an integer >= 1 once, when a run builds it, and its advance a command
+that is not finite on every call; plant_step, one Integrator and one
+advance on a copy of the state, rejects all three; sense rejects a
 state whose altitude z is not finite and a dt_ctrl that is not finite
 and positive; SensorModel rejects a quantum that is not finite and
 positive and a window that is not an integer >= 1; battery_sag rejects
@@ -33,6 +35,7 @@ __all__ = [
     "PlantParams",
     "PlantState",
     "SensorModel",
+    "Integrator",
     "hover_thrust",
     "plant_step",
     "sense",
@@ -81,48 +84,77 @@ def hover_thrust(params: PlantParams) -> float:
     return params.mass * G + params.hover_adjust
 
 
+class Integrator:
+    """Moves a PlantState by substeps steps of dt seconds per call, in
+    place, under one held thrust command.
+
+    A closed-loop run fixes the plant, dt and substeps, so the
+    constructor checks dt and substeps and derives the thrust limit, the
+    weight and the motor-lag factor once; advance checks only the
+    command.
+
+    Raises ValueError, naming the argument, for a dt that is not finite
+    and positive or substeps that is not an integer >= 1.
+    """
+
+    __slots__ = ("_constants",)
+
+    def __init__(self, params: PlantParams, dt: float, substeps: int = 1):
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        if not isinstance(substeps, numbers.Integral) or substeps < 1:
+            raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+        lag = params.motor_tau > 0
+        alpha = 1.0 - math.exp(-dt / params.motor_tau) if lag else 1.0
+        # One tuple, unpacked by advance in one go.
+        self._constants = (params.thrust_max, params.mass, params.drag,
+                           params.mass * G, lag, alpha, dt, range(substeps))
+
+    def advance(self, state: PlantState, command: float) -> None:
+        """Advance state by substeps steps of dt under command.
+
+        The command clamps to the thrust limits once; on each step the
+        actual thrust relaxes toward it with the motor time constant and
+        the mass integrates with semi-implicit Euler.  Touching the ground
+        clamps z to 0 and kills any downward velocity, checked on every
+        step.  The result equals substeps chained single steps, bit for
+        bit: each step keeps the single step's operation order and adds dt
+        to t once.
+
+        Raises ValueError naming the command, before state changes, for a
+        command that is not finite.
+        """
+        if not math.isfinite(command):
+            raise ValueError(f"command must be finite, got {command!r}")
+        thrust_max, mass, drag, weight, lag, alpha, dt, steps = self._constants
+        # min(max(command, 0.0), thrust_max), signed zeros included, without
+        # two builtin calls per tick.
+        cmd = thrust_max if thrust_max < command else 0.0 if command < 0.0 else command
+        z, vz, thrust, t = state.z, state.vz, state.thrust, state.t
+        for _ in steps:
+            thrust = thrust + alpha * (cmd - thrust) if lag else cmd
+            vz = vz + ((thrust - weight) - drag * vz) / mass * dt
+            z = z + vz * dt
+            if z <= 0.0:
+                z = 0.0
+                vz = max(vz, 0.0)
+            t = t + dt
+        state.z, state.vz, state.thrust, state.t = z, vz, thrust, t
+
+
 def plant_step(state: PlantState, command: float, dt: float,
                params: PlantParams, substeps: int = 1) -> PlantState:
-    """Advance the plant by substeps steps of dt seconds under one held
-    thrust command and return the new state.
-
-    The command clamps to the thrust limits once; on each step the actual
-    thrust relaxes toward it with the motor time constant and the mass
-    integrates with semi-implicit Euler.  Touching the ground clamps z to
-    0 and kills any downward velocity, checked on every step.  The result
-    equals substeps chained calls with substeps=1, bit for bit: each step
-    keeps the single step's operation order and adds dt to t once.
+    """Return a new state: state advanced by substeps steps of dt seconds
+    under one held thrust command, as Integrator.advance moves it.  state
+    itself is not changed.
 
     Raises ValueError, naming the argument, for a command that is not
     finite, a dt that is not finite and positive, or substeps that is not
     an integer >= 1.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    # The exact type test spares a plain int the abstract-class lookup.
-    if (not (type(substeps) is int or isinstance(substeps, numbers.Integral))
-            or substeps < 1):
-        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
-    if not math.isfinite(command):
-        raise ValueError(f"command must be finite, got {command!r}")
-    # min(max(command, 0.0), thrust_max), signed zeros included, without
-    # two builtin calls per tick.
-    thrust_max = params.thrust_max
-    cmd = thrust_max if thrust_max < command else 0.0 if command < 0.0 else command
-    mass, drag = params.mass, params.drag
-    weight = mass * G
-    lag = params.motor_tau > 0
-    alpha = 1.0 - math.exp(-dt / params.motor_tau) if lag else 1.0
-    z, vz, thrust, t = state.z, state.vz, state.thrust, state.t
-    for _ in range(substeps):
-        thrust = thrust + alpha * (cmd - thrust) if lag else cmd
-        vz = vz + ((thrust - weight) - drag * vz) / mass * dt
-        z = z + vz * dt
-        if z <= 0.0:
-            z = 0.0
-            vz = max(vz, 0.0)
-        t = t + dt
-    return PlantState(z, vz, thrust, t)
+    new = PlantState(state.z, state.vz, state.thrust, state.t)
+    Integrator(params, dt, substeps).advance(new, command)
+    return new
 
 
 @dataclass

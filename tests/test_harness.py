@@ -229,6 +229,24 @@ class TestControllerTable:
         col = header.split(",").index("controller")
         assert [r.split(",")[col] for r in rows] == ["npid", "baseline", "fake"]
 
+    def test_nan_command_stops_the_loop_on_its_tick(self, monkeypatch):
+        """A controller whose 6th output is NaN makes a NaN thrust
+        command; the plant rejects it on that tick, so the loop never
+        asks the controller for a 7th."""
+        calls = []
+
+        def build(cfg):
+            def step(setpoint, z_meas, d_meas):
+                calls.append(None)
+                return math.nan if len(calls) == 6 else 0.0
+            return step, lambda: tuple([-1] * cfg.ticks for _ in range(4))
+        monkeypatch.setitem(harness.CONTROLLERS, "nan6", build)
+        cfg = ExperimentConfig(npid=step_experiment(n=15).npid, setpoint=1.0,
+                               duration=1.0, controller="nan6")
+        with pytest.raises(ValueError, match="command"):
+            run_step_response(cfg)
+        assert len(calls) == 6
+
     def test_unknown_name_rejected_with_the_keys(self, fake):
         with pytest.raises(ValueError, match="^controller must be one of "
                                              "'npid', 'baseline', 'fake', got 'pid'$"):
@@ -316,6 +334,33 @@ class TestBaselineTraces:
     def test_trace_csv_matches_pin(self, tmp_path, run):
         trace, _ = run_step_response(step_experiment(controller="baseline",
                                                      **dict(run)))
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[run]
+
+
+class TestNonStockPlantTraces:
+    """SHA-256 of the trace CSV of four N=15, 5 s runs off the stock
+    plant: no motor lag, battery sag, 3 physics sub-steps, and a windowed
+    sensor under the baseline controller.  The golden digests all fly the
+    stock plant, so these pin the other branches of the closed loop."""
+
+    DIGESTS = {
+        (("plant", PlantParams(motor_tau=0.0)),):
+            "b461a663779952b0fb5f6d4d4dd22a58bb0d1a47c4febed16b7099029e8ad97e",
+        (("battery_beta", 0.05),):
+            "5bc9c3f12f06f9ec20cb910e2e45d69342e39bbec80b864a583324d23da00e42",
+        (("physics_substeps", 3),):
+            "568ba81765aef51751572deb322e2475702fb31f320c6f2401389481ff356812",
+        (("controller", "baseline"), ("sensor_window", 2)):
+            "77c2396adf75da48be054bca6b8ef9d679d32ecfdce8e1cd637eb554e5ba0267",
+    }
+
+    @pytest.mark.parametrize("run", list(DIGESTS), ids=[
+        "motor_tau=0", "battery_beta=0.05", "physics_substeps=3",
+        "baseline,sensor_window=2"])
+    def test_trace_csv_matches_pin(self, tmp_path, run):
+        trace, _ = run_step_response(step_experiment(n=15, duration=5.0, **dict(run)))
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[run]

@@ -593,6 +593,19 @@ class TestGraphRuntime:
         with pytest.raises(AssertionError, match="0 winners"):
             rt.step({"a": 1, "b": 1})
 
+    def test_reduce_without_one_winner_is_named_by_its_unit(self):
+        """All units' winners come from one read; the error still names
+        the unit at fault, here the middle one of three."""
+        nl = build_npid(default_config(n=15, decay=0.9)).export_netlist()
+        silent = Neurons(nl.neurons.id, nl.neurons.layer,
+                         [99 if n.id.startswith("integral.reduce[") else n.threshold
+                          for n in nl.neurons])
+        rt = NetlistRuntime(Netlist(silent, nl.synapses, nl.meta))
+        assert list(nl.meta["unit_outputs"]) == ["error", "integral", "control"]
+        with pytest.raises(AssertionError,
+                           match="^unit 'integral' reduce produced 0 winners$"):
+            rt.step({"target": 7, "measurement": 3, "derivative": 7})
+
     def test_bad_stimulus_rejected_and_state_kept(self):
         _, nl = fig2_setup()
         rt = NetlistRuntime(nl)

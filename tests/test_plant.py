@@ -1,11 +1,13 @@
 """Vertical plant dynamics and the quantized altitude sensor."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikepid.plant import (
+    Integrator,
     PlantParams,
     PlantState,
     SensorModel,
@@ -130,10 +132,21 @@ class TestSubsteps:
     )
     def test_property_equals_chained(self, z, vz, thrust, t, command, mass,
                                      drag, tau, dt, k):
+        """plant_step, and Integrator.advance on a copy in place, both
+        equal k chained single steps."""
         p = PlantParams(mass=mass, drag=drag, motor_tau=tau)
         s = PlantState(z=z, vz=vz, thrust=thrust, t=t)
-        assert same_state(plant_step(s, command, dt, p, k),
-                          chained(s, command, dt, p, k))
+        moved = replace(s)
+        Integrator(p, dt, k).advance(moved, command)
+        want = chained(s, command, dt, p, k)
+        assert same_state(plant_step(s, command, dt, p, k), want)
+        assert same_state(moved, want)
+
+    def test_plant_step_leaves_its_input_as_it_is(self):
+        s = PlantState(z=1.0, vz=0.3, thrust=6.0, t=2.5)
+        after = plant_step(s, 7.1, 1 / 700, PlantParams(), 10)
+        assert after is not s and not same_state(after, s)
+        assert same_state(s, PlantState(z=1.0, vz=0.3, thrust=6.0, t=2.5))
 
 
 class TestNonFinitePolicy:
@@ -151,6 +164,23 @@ class TestNonFinitePolicy:
     def test_bad_substeps_rejected_by_name(self, bad):
         with pytest.raises(ValueError, match="substeps"):
             plant_step(PlantState(z=1.0), 6.0, 0.001, PlantParams(), bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.001, math.nan, math.inf])
+    def test_integrator_rejects_bad_dt_by_name(self, bad):
+        with pytest.raises(ValueError, match="^dt "):
+            Integrator(PlantParams(), bad, 10)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, 2.5])
+    def test_integrator_rejects_bad_substeps_by_name(self, bad):
+        with pytest.raises(ValueError, match="^substeps "):
+            Integrator(PlantParams(), 0.001, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_advance_rejects_non_finite_command_and_keeps_state(self, bad):
+        s = PlantState(z=1.0, vz=0.3, thrust=6.0, t=2.5)
+        with pytest.raises(ValueError, match="^command "):
+            Integrator(PlantParams(), 0.001, 10).advance(s, bad)
+        assert same_state(s, PlantState(z=1.0, vz=0.3, thrust=6.0, t=2.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sense_rejects_non_finite_altitude_by_name(self, bad):
