@@ -50,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grids import ValueGrid, bin_rows, check_grid, encode, make_grid
+from .grids import ValueGrid, bin_rows, check_grid, encode, make_grid, nan_input
 from .netlist import Netlist, export_netlist, neuron_columns
 from .reference import PidGains
 from .units import MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
@@ -327,11 +327,17 @@ class NpidNetwork:
         return the decoded thrust offset in Newtons.  The error and
         integral bins are read from the units' stored maps, the control
         bin from the control unit's winner_bin.  The integral unit reads
-        last tick's integral bin through its delay-1 edge."""
+        last tick's integral bin through its delay-1 edge.  A NaN input
+        raises ValueError naming it, before the integral bin or the
+        trace changes; an infinite one clamps to an end bin."""
         tm, grids = self.grids.target_measurement, self.grids
-        t_bin = encode(tm, target)
-        m_bin = encode(tm, measurement)
-        d_bin = encode(grids.derivative, derivative)
+        try:
+            t_bin = encode(tm, target)
+            m_bin = encode(tm, measurement)
+            d_bin = encode(grids.derivative, derivative)
+        except ValueError:
+            raise nan_input(target=target, measurement=measurement,
+                            derivative=derivative) from None
         e_bin = self._err_map[t_bin][m_bin]
         i_bin = self._int_map[self.integral_bin][e_bin]
         u_bin = self.control_unit.winner_bin(e_bin, i_bin, d_bin)

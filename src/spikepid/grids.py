@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ValueGrid", "check_grid", "make_grid", "encode", "bin_rows"]
+__all__ = ["ValueGrid", "check_grid", "make_grid", "encode", "nan_input", "bin_rows"]
 
 UNIFORM = "uniform"
 QUADRATIC = "quadratic"
@@ -146,6 +146,14 @@ def encode(grid: ValueGrid, x: float) -> int:
     # bisect_left on midpoints: x == boundary[i] lands at bin i, which
     # realizes the tie-toward-lower-index rule; clamping is implicit.
     return bisect_left(grid._boundaries, x)
+
+
+def nan_input(**inputs) -> ValueError:
+    """The error for a tick whose encode raised: it names the first of
+    the inputs (name=value) that is NaN.  Callers build it only after
+    encode has raised, so a finite tick does no extra work."""
+    name = next(k for k, x in inputs.items() if math.isnan(x))
+    return ValueError(f"{name} must not be NaN, got {inputs[name]!r}")
 
 
 def bin_rows(bins, grid: ValueGrid) -> list[memoryview]:

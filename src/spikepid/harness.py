@@ -3,7 +3,9 @@
 Runs a controller of the CONTROLLERS table (the spiking network or the
 PID baseline) against the vertical plant, computes step-response metrics,
 verifies adder units exhaustively against the arithmetic oracle,
-benchmarks tick throughput and writes deterministic CSV/SVG artifacts.
+co-simulates the network with the oracle and with netlist replays on one
+seeded input stream (cosimulate), benchmarks tick throughput and writes
+deterministic CSV/SVG artifacts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .plant import (  # noqa: F401
     plant_step,
     sense,
 )
-from .reference import PidGains, PidState, pid_step, round_to_grid
+from .netlist import Netlist, NetlistRuntime
+from .reference import PidGains, PidOracle, PidState, pid_step, round_to_grid
 from .units import build_adder
 
 __all__ = [
@@ -43,6 +46,9 @@ __all__ = [
     "run_step_response",
     "AdderCheckReport",
     "verify_adder",
+    "CosimReport",
+    "cosim_inputs",
+    "cosimulate",
     "BenchReport",
     "bench",
     "compare",
@@ -364,6 +370,95 @@ def verify_adder(n: int, distribution: str = "uniform", mode: str = "nearest",
         mismatches=[(k // n, k % n, int(got[k]), int(want[k]))
                     for k in np.flatnonzero(dev)[:10].tolist()],
         elapsed_s=time.perf_counter() - t0)
+
+
+# -- co-simulation --------------------------------------------------------------
+
+
+def cosim_inputs(config: NpidConfig, ticks: int, seed):
+    """cosimulate's seeded input stream: yields, per tick, the inputs
+    (target, measurement, derivative) and the stimuli that encode them.
+    Target and measurement are drawn together over the target grid's
+    range, then the derivative over the derivative grid's."""
+    tm, dg = config.target_grid.build(), config.derivative_grid.build()
+    rng = np.random.default_rng(seed)
+    for _ in range(ticks):
+        t, y = rng.uniform(tm.lo, tm.hi, 2).tolist()
+        d = float(rng.uniform(dg.lo, dg.hi))
+        yield (t, y, d), {"target": encode(tm, t), "measurement": encode(tm, y),
+                          "derivative": encode(dg, d)}
+
+
+@dataclass
+class CosimReport:
+    ticks: int  # the network's ticks
+    first_mismatch: dict  # per evaluator, (tick, unit, got, want) or None
+    elapsed_s: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return all(m is None for m in self.first_mismatch.values())
+
+    def summary(self) -> str:
+        evals = ", ".join(f"{name} " + ("OK" if m is None else
+                                        "tick {}: {} bin {}, network {}".format(*m))
+                          for name, m in self.first_mismatch.items())
+        return (f"cosim {self.ticks} ticks: {evals} "
+                f"[{'OK' if self.ok else 'MISMATCH'}] ({self.elapsed_s:.2f}s)")
+
+
+def _oracle_step(cfg: NpidConfig, grids):
+    """A PidOracle of cfg as an evaluator: stimuli -> integral and control bins."""
+    oracle = PidOracle(grids, cfg.gains, cfg.dt, lam=cfg.decay, mode=cfg.mode,
+                       quantized=cfg.quantized)
+    state = oracle.fresh_state()
+
+    def step(s):
+        u_bin = oracle.step_bins(state, s["target"], s["measurement"], s["derivative"])
+        return {"integral": state.integral_bin, "control": u_bin}
+    return step
+
+
+def cosimulate(config: NpidConfig, ticks: int, seed, *, against) -> CosimReport:
+    """Tick a network of config on cosim_inputs(config, ticks, seed) and
+    compare each evaluator's bins with its bins, exactly, every tick.
+
+    against holds one or more of: "oracle", a PidOracle of the config,
+    which gives the integral and control bins; "netlist", a
+    NetlistRuntime of the network's fresh export; and the path of a
+    saved .npz netlist, replayed from Netlist.load.  Either runtime
+    gives all three bins.  An evaluator stops at its first mismatch,
+    and the run when every evaluator has."""
+    t0 = time.perf_counter()
+    if not isinstance(ticks, numbers.Integral) or ticks < 1:
+        raise ValueError(f"ticks must be an integer >= 1, got {ticks!r}")
+    against = tuple(against)
+    for entry in against:
+        if entry not in ("oracle", "netlist") and not str(entry).endswith(".npz"):
+            raise ValueError(f"against entry {entry!r} is not 'oracle', 'netlist' "
+                             "or the path of a .npz netlist")
+    if not against:
+        raise ValueError("against must name at least one evaluator, got none")
+    net = build_npid(config)
+    net.record_raster(True, raster=False)
+    tr = net.fetch_trace()
+    live = {str(e): _oracle_step(config, net.grids) if e == "oracle" else NetlistRuntime(
+                net.export_netlist() if e == "netlist" else Netlist.load(e)).step
+            for e in against}
+    first = dict.fromkeys(live)
+    for k, (inputs, stimuli) in enumerate(cosim_inputs(config, ticks, seed)):
+        if not live:
+            break
+        net.step(*inputs)
+        want = {"error": tr.error_bin[k], "integral": tr.integral_bin[k],
+                "control": tr.output_bin[k]}
+        for name, step in list(live.items()):
+            wrong = [(k, u, b, want[u]) for u, b in step(stimuli).items() if b != want[u]]
+            if wrong:
+                first[name] = wrong[0]
+                del live[name]
+    return CosimReport(ticks=len(tr), first_mismatch=first,
+                       elapsed_s=time.perf_counter() - t0)
 
 
 # -- throughput ---------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ValueGrid, bin_rows, encode
+from .grids import ValueGrid, bin_rows, encode, nan_input
 from .units import choose_scale, quantize_weight, round_half_away
 
 __all__ = [
@@ -78,8 +78,8 @@ def pid_step(state: PidState, r: float, y: float, dt: float, gains: PidGains, *,
         i <- lam * i + e * dt
         u = kp*e + (kp/ti)*i + (kp*td)*derivative, clamped to clamp
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     e = r - y
     state.integral = lam * state.integral + e * dt
     u = gains.kp * e + gains.ki * state.integral + gains.kd * derivative
@@ -216,10 +216,10 @@ class PidOracle:
 
     def __init__(self, grids, gains: PidGains, dt: float, lam: float = 1.0,
                  mode: str = "nearest", quantized: bool = False):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         if not 0 < lam <= 1:
-            raise ValueError("decay must lie in (0, 1]")
+            raise ValueError(f"decay must lie in (0, 1], got {lam!r}")
         self.grids = grids
         self.gains = gains
         self.dt = dt
@@ -258,10 +258,13 @@ class PidOracle:
 
     def step(self, state: QuantPidState, target: float, measurement: float,
              derivative: float) -> int:
+        """step_bins on the encoded inputs.  A NaN input raises
+        ValueError naming it, before the state changes."""
         tm = self.grids.target_measurement
-        return self.step_bins(
-            state,
-            encode(tm, target),
-            encode(tm, measurement),
-            encode(self.grids.derivative, derivative),
-        )
+        try:
+            bins = (encode(tm, target), encode(tm, measurement),
+                    encode(self.grids.derivative, derivative))
+        except ValueError:
+            raise nan_input(target=target, measurement=measurement,
+                            derivative=derivative) from None
+        return self.step_bins(state, *bins)

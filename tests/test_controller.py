@@ -12,7 +12,7 @@ import pytest
 from spikepid.controller import (_CACHED_CONFIGS, GridSpec, NpidConfig, _tables,
                                  build_npid, default_config)
 from spikepid.grids import make_grid
-from spikepid.harness import step_experiment
+from spikepid.harness import cosimulate, step_experiment
 from spikepid.reference import PidGains, PidOracle
 from spikepid.units import AdderUnit
 
@@ -155,33 +155,33 @@ class TestStep:
         assert net.integral_bin > z0
 
     def test_matches_oracle_free_running(self):
-        cfg = default_config(n=63, decay=0.95)
-        net = build_npid(cfg)
-        net.record_raster(True, raster=False)
-        oracle = PidOracle(net.grids, cfg.gains, cfg.dt, lam=cfg.decay,
-                           mode=cfg.mode)
-        st = oracle.fresh_state()
-        rng = np.random.default_rng(5)
-        for k in range(2000):
-            t, y = rng.uniform(0, 4, 2)
-            d = rng.uniform(-0.5, 0.5)
-            net.step(t, y, d)
-            assert oracle.step(st, t, y, d) == net.fetch_trace().output_bin[k]
-            assert st.integral_bin == net.integral_bin
+        report = cosimulate(default_config(n=63, decay=0.95), 2000, 5, against=("oracle",))
+        assert report.ok, report.summary()
 
     @pytest.mark.parametrize("mode", ["floor", "nearest"])
     def test_matches_oracle_both_modes(self, mode):
-        cfg = default_config(n=15, distribution="quadratic", mode=mode)
-        net = build_npid(cfg)
+        report = cosimulate(default_config(n=15, distribution="quadratic", mode=mode),
+                            500, 6, against=("oracle",))
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("name", ["target", "measurement", "derivative"])
+    def test_nan_input_rejected_by_name_before_any_state_changes(self, name):
+        net = build_npid(default_config(n=15))
         net.record_raster(True, raster=False)
-        oracle = PidOracle(net.grids, cfg.gains, cfg.dt, lam=cfg.decay, mode=mode)
-        st = oracle.fresh_state()
-        rng = np.random.default_rng(6)
-        for k in range(500):
-            t, y = rng.uniform(0, 4, 2)
-            d = rng.uniform(-0.5, 0.5)
-            net.step(t, y, d)
-            assert oracle.step(st, t, y, d) == net.fetch_trace().output_bin[k]
+        net.step(3.0, 0.0, 0.0)
+        before = (net.integral_bin, len(net.fetch_trace()))
+        inputs = {"target": 1.0, "measurement": 0.5, "derivative": 0.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN, got nan$"):
+            net.step(**inputs)
+        assert (net.integral_bin, len(net.fetch_trace())) == before
+
+    def test_infinite_inputs_clamp_to_the_end_bins(self):
+        net = build_npid(default_config(n=15))
+        net.record_raster(True, raster=False)
+        net.step(math.inf, -math.inf, -math.inf)
+        net.step(-math.inf, math.inf, math.inf)
+        tr = net.fetch_trace()
+        assert (tr.target_bin, tr.measurement_bin, tr.deriv_bin) == ([14, 0], [0, 14], [0, 14])
 
 
 def _bits(net):
@@ -430,18 +430,9 @@ class TestWindUp:
 
 class TestQuantizedMode:
     def test_matches_quantization_aware_oracle(self):
-        cfg = default_config(n=15, quantized=True, decay=0.9)
-        net = build_npid(cfg)
-        net.record_raster(True, raster=False)
-        oracle = PidOracle(net.grids, cfg.gains, cfg.dt, lam=cfg.decay,
-                           mode=cfg.mode, quantized=True)
-        st = oracle.fresh_state()
-        rng = np.random.default_rng(8)
-        for k in range(2000):
-            t, y = rng.uniform(0, 4, 2)
-            d = rng.uniform(-0.5, 0.5)
-            net.step(t, y, d)
-            assert oracle.step(st, t, y, d) == net.fetch_trace().output_bin[k]
+        report = cosimulate(default_config(n=15, quantized=True, decay=0.9), 2000, 8,
+                            against=("oracle",))
+        assert report.ok, report.summary()
 
     def test_all_weight_tables_legal(self):
         net = build_npid(default_config(n=63, quantized=True))

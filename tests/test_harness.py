@@ -8,15 +8,19 @@ import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikepid import cli, harness
+from spikepid.controller import build_npid, default_config
 from spikepid.grids import make_grid
 from spikepid.harness import (
     AdderCheckReport,
     ExperimentConfig,
     bench,
     compare,
+    cosim_inputs,
+    cosimulate,
     load_config,
     run_step_response,
     step_experiment,
@@ -24,8 +28,9 @@ from spikepid.harness import (
     write_summary_csv,
     write_svg,
 )
+from spikepid.netlist import NetlistRuntime
 from spikepid.plant import PlantParams, PlantState, SensorModel, sense
-from spikepid.reference import PidState, pid_step, round_to_grid
+from spikepid.reference import PidOracle, PidState, pid_step, round_to_grid
 from spikepid.units import AdderUnit, build_adder
 
 
@@ -482,6 +487,70 @@ class TestVerifyAdder:
         assert "15" in rep.summary() and "OK" in rep.summary()
 
 
+COSIM_CFG = default_config(n=15, decay=0.9)
+
+
+class TestCosimulate:
+    def test_stream_is_three_scalar_draws_per_tick(self):
+        """Target and measurement drawn together equal two scalar draws,
+        so tests that drew three scalars per tick check the same ticks."""
+        rng = np.random.default_rng(3)
+        want = [(rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(-0.5, 0.5))
+                for _ in range(50)]
+        assert [x for x, _ in cosim_inputs(COSIM_CFG, 50, 3)] == want
+
+    def test_clean_run_reports_no_mismatch(self, tmp_path):
+        path = tmp_path / "net.npz"
+        build_npid(COSIM_CFG).export_netlist().save(path)
+        rep = cosimulate(COSIM_CFG, 50, 1, against=("oracle", "netlist", path))
+        assert rep.first_mismatch == {"oracle": None, "netlist": None, str(path): None}
+        assert rep.ticks == 50 and rep.ok and "[OK]" in rep.summary()
+
+    @pytest.mark.parametrize("evaluator, cls, method, unit, bump", [
+        ("oracle", PidOracle, "step_bins", "control", lambda u: u + 1),
+        ("netlist", NetlistRuntime, "step", "integral",
+         lambda w: {**w, "integral": w["integral"] + 1}),
+    ])
+    def test_evaluator_wrong_at_one_tick_is_reported_there(self, monkeypatch, evaluator,
+                                                           cls, method, unit, bump):
+        """An evaluator wrong at tick 7 alone is reported at that tick and
+        unit with both bins, while the other runs every tick clean; alone,
+        it ends the run there."""
+        right, calls = getattr(cls, method), []
+
+        def wrong(self, *args):
+            calls.append(None)
+            got = right(self, *args)
+            return bump(got) if len(calls) == 8 else got
+        monkeypatch.setattr(cls, method, wrong)
+        net = build_npid(COSIM_CFG)
+        net.record_raster(True, raster=False)
+        for inputs, _ in cosim_inputs(COSIM_CFG, 8, 1):
+            net.step(*inputs)
+        tr = net.fetch_trace()
+        want = {"integral": tr.integral_bin[7], "control": tr.output_bin[7]}[unit]
+        rep = cosimulate(COSIM_CFG, 40, 1, against=("oracle", "netlist"))
+        assert rep.first_mismatch == {"oracle": None, "netlist": None,
+                                      evaluator: (7, unit, want + 1, want)}
+        assert rep.ticks == 40 and not rep.ok
+        assert f"{evaluator} tick 7: {unit} bin {want + 1}, network {want}" in rep.summary()
+        calls.clear()
+        alone = cosimulate(COSIM_CFG, 40, 1, against=(evaluator,))
+        assert alone.first_mismatch == {evaluator: (7, unit, want + 1, want)}
+        assert alone.ticks == 8
+
+    @pytest.mark.parametrize("ticks, against, message", [
+        (10, ("orcale",), "against entry 'orcale' is not"),
+        (10, ("net.json",), "against entry 'net.json' is not"),
+        (10, (), "against must name at least one evaluator"),
+        (0, ("oracle",), "ticks must be an integer >= 1, got 0"),
+        (2.5, ("oracle",), "ticks must be an integer >= 1, got 2.5"),
+    ])
+    def test_bad_argument_rejected_by_name(self, ticks, against, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            cosimulate(COSIM_CFG, ticks, 1, against=against)
+
+
 class TestBench:
     def test_reports_positive_throughput(self):
         rep = bench(ticks=20_000)
@@ -493,8 +562,6 @@ class TestBench:
         # Per-tick cost grows ~log(n), so the gap is small; best-of-three
         # runs and a generous factor keep scheduler noise out.  The sizes
         # alternate, so both see the same host load.
-        from spikepid.controller import default_config
-
         rates = {15: [], 151: []}
         for _ in range(3):
             for n in rates:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikepid.controller import build_npid, default_config
 from spikepid.grids import encode, make_grid
+from spikepid.harness import cosim_inputs, cosimulate
 from spikepid.netlist import Netlist, NetlistRuntime, Neurons, Synapses, export_netlist
 from spikepid.reference import round_to_grid
 from spikepid.units import LAYER_INPUT, build_adder, eval_unit, one_hot
@@ -396,22 +397,8 @@ class TestRuntime:
     def test_full_controller_matches_step(self, quantized):
         cfg = default_config(n=15, distribution="quadratic", decay=0.9,
                              quantized=quantized)
-        net = build_npid(cfg)
-        net.record_raster(True, raster=False)
-        rt = NetlistRuntime(net.export_netlist())
-        tm, dg = net.grids.target_measurement, net.grids.derivative
-        rng = np.random.default_rng(3)
-        for k in range(200):
-            t = rng.uniform(0, 4)
-            y = rng.uniform(0, 4)
-            d = rng.uniform(-0.5, 0.5)
-            net.step(t, y, d)
-            w = rt.step({"target": encode(tm, t), "measurement": encode(tm, y),
-                         "derivative": encode(dg, d)})
-            tr = net.fetch_trace()
-            assert w["error"] == tr.error_bin[k]
-            assert w["integral"] == tr.integral_bin[k]
-            assert w["control"] == tr.output_bin[k]
+        report = cosimulate(cfg, 200, 3, against=("netlist",))
+        assert report.ok, report.summary()
 
     def test_reload_reproduces_bit_exactly(self, tmp_path):
         cfg = default_config(n=15, decay=0.85)
@@ -431,19 +418,6 @@ class TestRuntime:
                 tr.error_bin[k], tr.integral_bin[k], tr.output_bin[k])
 
 
-def random_stimuli(net, ticks, seed):
-    """Seeded controller inputs and the stimuli that encode them."""
-    tm, dg = net.grids.target_measurement, net.grids.derivative
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(ticks):
-        t, y = rng.uniform(0, 4, 2).tolist()
-        d = float(rng.uniform(-0.5, 0.5))
-        out.append(((t, y, d), {"target": encode(tm, t), "measurement": encode(tm, y),
-                                "derivative": encode(dg, d)}))
-    return out
-
-
 def replay(rt, stimuli):
     return [rt.step(s) for _, s in stimuli]
 
@@ -454,7 +428,7 @@ class TestGraphRuntime:
         net = build_npid(default_config(n=151, decay=0.9, quantized=quantized))
         net.record_raster(True, raster=False)
         rt = NetlistRuntime(net.export_netlist())
-        for k, (x, s) in enumerate(random_stimuli(net, 2000, seed=11)):
+        for k, (x, s) in enumerate(cosim_inputs(net.config, 2000, seed=11)):
             net.step(*x)
             w = rt.step(s)
             tr = net.fetch_trace()
@@ -488,7 +462,7 @@ class TestGraphRuntime:
                             nl.neurons.layer, nl.neurons.threshold),
             synapses=nl.synapses,  # endpoints are indices, not ids
             meta=nl.meta)
-        stimuli = random_stimuli(net, 300, seed=4)
+        stimuli = list(cosim_inputs(net.config, 300, seed=4))
         assert replay(NetlistRuntime(opaque), stimuli) == replay(NetlistRuntime(nl), stimuli)
 
     def test_zero_delay_cycle_rejected_at_construction(self):
@@ -513,7 +487,7 @@ class TestGraphRuntime:
         rt = NetlistRuntime(nl)
         net.record_raster(True)
         events = []
-        for x, s in random_stimuli(net, 300, seed=8):
+        for x, s in cosim_inputs(net.config, 300, seed=8):
             net.step(*x)
             rt.step(s)
             events.append(rt.events)
@@ -566,9 +540,9 @@ class TestGraphRuntime:
         net = build_npid(default_config(n=15, decay=0.9))
         nl = net.export_netlist()
         used = NetlistRuntime(nl)
-        replay(used, random_stimuli(net, 100, seed=1))
+        replay(used, cosim_inputs(net.config, 100, seed=1))
         used.reset()
-        stimuli = random_stimuli(net, 100, seed=2)
+        stimuli = list(cosim_inputs(net.config, 100, seed=2))
         assert replay(used, stimuli) == replay(NetlistRuntime(nl), stimuli)
 
     @pytest.mark.parametrize("quantized", [False, True])
@@ -629,7 +603,7 @@ class TestGraphRuntime:
         names it, and the tick that follows equals a fresh runtime's."""
         net = build_npid(default_config(n=15, decay=0.9))
         nl = net.export_netlist()
-        (_, before), (_, after) = random_stimuli(net, 2, seed=6)
+        (_, before), (_, after) = cosim_inputs(net.config, 2, seed=6)
         rt, fresh = NetlistRuntime(nl), NetlistRuntime(nl)
         assert rt.step(before) == fresh.step(before)
         partial = {pop: b for pop, b in after.items() if pop not in left_out}
@@ -805,16 +779,10 @@ class TestReplayProperty:
                                              decay, seed):
         """Export, save, load and replay 200 seeded ticks: every unit's
         winner equals the network's bin."""
-        net = build_npid(default_config(n=n, distribution=distribution,
-                                        quantized=quantized, decay=decay, mode=mode))
-        net.record_raster(True, raster=False)
+        cfg = default_config(n=n, distribution=distribution, quantized=quantized,
+                             decay=decay, mode=mode)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "net.npz"
-            net.export_netlist().save(path)
-            rt = NetlistRuntime(Netlist.load(path))
-        for k, (x, s) in enumerate(random_stimuli(net, 200, seed)):
-            net.step(*x)
-            w = rt.step(s)
-            tr = net.fetch_trace()
-            assert (w["error"], w["integral"], w["control"]) == (
-                tr.error_bin[k], tr.integral_bin[k], tr.output_bin[k]), k
+            build_npid(cfg).export_netlist().save(path)
+            report = cosimulate(cfg, 200, seed, against=(path,))
+        assert report.ok, report.summary()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spikepid.controller import _tables, build_npid, default_config
-from spikepid.harness import step_experiment
+from spikepid.harness import cosimulate, step_experiment
 from spikepid.grids import make_grid
 from spikepid.reference import (
     PidGains,
@@ -106,10 +106,12 @@ class TestPidStep:
     def test_state_is_the_integral_alone(self):
         assert [f.name for f in fields(PidState)] == ["integral"]
 
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            pid_step(PidState(), 1, 0, 0.0, GAINS, clamp=self.OPEN, lam=1.0,
-                     derivative=0.0)
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_dt(self, dt):
+        state = PidState(integral=0.5)
+        with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt!r}$"):
+            pid_step(state, 1, 0, dt, GAINS, clamp=self.OPEN, lam=1.0, derivative=0.0)
+        assert state.integral == 0.5
 
 
 class TestRoundToGrid:
@@ -290,8 +292,25 @@ class TestOracle:
 
     def test_invalid_decay_rejected(self):
         cfg = default_config(n=15)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^decay must lie in \(0, 1\], got 1.5$"):
             PidOracle(cfg.build_grids(), GAINS, DT, lam=1.5)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_dt_rejected(self, dt):
+        grids = default_config(n=15).build_grids()
+        with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt!r}$"):
+            PidOracle(grids, GAINS, dt)
+
+    @pytest.mark.parametrize("name", ["target", "measurement", "derivative"])
+    def test_nan_input_rejected_by_name_before_the_state_changes(self, name):
+        oracle = _oracle(default_config(n=15))
+        state = oracle.fresh_state()
+        oracle.step(state, 3.0, 0.0, 0.0)
+        before = state.integral_bin
+        inputs = {"target": 1.0, "measurement": 0.5, "derivative": 0.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN, got nan$"):
+            oracle.step(state, **inputs)
+        assert state.integral_bin == before
 
 
 def _oracle(cfg, grids=None):
@@ -384,9 +403,21 @@ _HIGH_RES = [step_experiment(n=1001, distribution=dist, quantized=q).npid
              for dist in ("uniform", "quadratic") for q in (False, True)]
 
 
-@pytest.mark.parametrize("cfg", _FLOWN + _HIGH_RES, ids=lambda c: (
-    f"n{c.error_grid.n}-{c.error_grid.distribution}-d{c.decay}"
-    f"-{'quantized' if c.quantized else 'float'}"))
+def _cfg_id(c):
+    return (f"n{c.error_grid.n}-{c.error_grid.distribution}-d{c.decay}"
+            f"-{'quantized' if c.quantized else 'float'}")
+
+
+@pytest.mark.parametrize("cfg", _FLOWN, ids=_cfg_id)
+def test_flown_controllers_tick_like_the_oracle_and_their_netlist(cfg):
+    """300 seeded ticks: the oracle's integral and control bins, and the
+    three winners of a replay of the network's export, equal the
+    network's on every tick."""
+    report = cosimulate(cfg, 300, 1, against=("oracle", "netlist"))
+    assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize("cfg", _FLOWN + _HIGH_RES, ids=_cfg_id)
 def test_two_input_stages_equal_the_spiking_units_on_every_tuple(cfg):
     """Every (target, measurement) and (integral, error) tuple: the
     oracle's map, and the network's stored map that step reads, equal
