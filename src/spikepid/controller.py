@@ -29,7 +29,11 @@ A tick reads the error and integral units' outputs from maps that hold
 every input pair, built by AdderUnit.eval_all_pairs (the literal
 propagation, once per aggregate firing class) at O(N^2) time and
 memory, as PidOracle builds its own.  The control unit's N^3 input
-tuples are too many to store, so it ticks on AdderUnit.winner_bin.
+tuples are too many to store, so step computes its bin inline from the
+unit's tick_tables: its three weight rows summed left to right, then
+one bisect_right over its step points, the adds and search of
+AdderUnit.winner_bin, so the bin is the same.  Every raster read checks
+each recorded control bin against the unit's eval_bins.
 
 A network is programmed once and then ticked, so everything its config
 fixes (grids, port table, units, maps) is built once per config and
@@ -44,6 +48,7 @@ different tables.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -268,7 +273,8 @@ _CACHED_CONFIGS = 16
 @lru_cache(maxsize=_CACHED_CONFIGS)
 def _tables(key: str, config: NpidConfig) -> tuple:
     """What config fixes of a network: its grids, input populations, port
-    table, units and error and integral maps, each read-only.
+    table, units, error and integral maps, and the control unit's three
+    weight rows and step points (its tick_tables, flat), each read-only.
 
     key is repr(config), which round-trips every float.  Configs that
     compare equal can still build different tables: GridSpec(-0.0, 4, n)
@@ -295,22 +301,24 @@ def _tables(key: str, config: NpidConfig) -> tuple:
         for name, (out, unit_ports) in ports.items())
     err_map = tuple(bin_rows(units[0].eval_all_pairs(), grids.error))
     int_map = tuple(bin_rows(units[1].eval_all_pairs(), grids.integral))
+    weights, points = units[2].tick_tables
     return (grids, MappingProxyType(inputs), MappingProxyType(ports), units,
-            err_map, int_map)
+            err_map, int_map, (*weights, points))
 
 
 class NpidNetwork:
     """A built controller instance: three adder units plus the integral
     delay state.  Mutable state is the integral bin and the optional
     trace, held by each network.  The rest (grids, _inputs, _ports,
-    units and the two maps) is shared, read-only, with every network of
-    a config whose repr is the same, while the config is among the 16
-    last built: about 0.35 MB per config at N=151, 5.9 MB at N=1001."""
+    units, the two maps and the control rows) is shared, read-only, with
+    every network of a config whose repr is the same, while the config
+    is among the 16 last built: about 0.35 MB per config at N=151, 5.9 MB
+    at N=1001."""
 
     def __init__(self, config: NpidConfig):
         self.config = config
         (self.grids, self._inputs, self._ports, self.units,
-         self._err_map, self._int_map) = _tables(repr(config), config)
+         self._err_map, self._int_map, self._ctl) = _tables(repr(config), config)
         self.error_unit, self.integral_unit, self.control_unit = self.units
 
         self.integral_bin = self.grids.integral.zero_index
@@ -325,8 +333,9 @@ class NpidNetwork:
     def step(self, target: float, measurement: float, derivative: float) -> float:
         """Encode the inputs, run one tick through the three units and
         return the decoded thrust offset in Newtons.  The error and
-        integral bins are read from the units' stored maps, the control
-        bin from the control unit's winner_bin.  The integral unit reads
+        integral bins are read from the units' stored maps; the control
+        bin is winner_bin's sum and search, inlined over the rows and
+        step points read at build.  The integral unit reads
         last tick's integral bin through its delay-1 edge.  A NaN input
         raises ValueError naming it, before the integral bin or the
         trace changes; an infinite one clamps to an end bin."""
@@ -340,7 +349,8 @@ class NpidNetwork:
                             derivative=derivative) from None
         e_bin = self._err_map[t_bin][m_bin]
         i_bin = self._int_map[self.integral_bin][e_bin]
-        u_bin = self.control_unit.winner_bin(e_bin, i_bin, d_bin)
+        w0, w1, w2, points = self._ctl
+        u_bin = bisect_right(points, w0[e_bin] + w1[i_bin] + w2[d_bin])
         self.integral_bin = i_bin
         u = grids.output.values[u_bin]
         if self._trace is not None:

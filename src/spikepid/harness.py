@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -423,20 +424,28 @@ def cosimulate(config: NpidConfig, ticks: int, seed, *, against) -> CosimReport:
     """Tick a network of config on cosim_inputs(config, ticks, seed) and
     compare each evaluator's bins with its bins, exactly, every tick.
 
-    against holds one or more of: "oracle", a PidOracle of the config,
-    which gives the integral and control bins; "netlist", a
-    NetlistRuntime of the network's fresh export; and the path of a
-    saved .npz netlist, replayed from Netlist.load.  Either runtime
-    gives all three bins.  An evaluator stops at its first mismatch,
-    and the run when every evaluator has."""
+    against is a sequence of one or more distinct evaluators: "oracle",
+    a PidOracle of the config, which gives the integral and control
+    bins; "netlist", a NetlistRuntime of the network's fresh export; and
+    the path of a saved .npz netlist, replayed from Netlist.load.  A
+    bare string or path is refused, not read letter by letter.  Either
+    runtime gives all three bins.  An evaluator stops at its first
+    mismatch, and the run when every evaluator has."""
     t0 = time.perf_counter()
     if not isinstance(ticks, numbers.Integral) or ticks < 1:
         raise ValueError(f"ticks must be an integer >= 1, got {ticks!r}")
+    if isinstance(against, (str, bytes, os.PathLike)):
+        raise ValueError(f"against must be a sequence of evaluators, got the bare "
+                         f"{against!r}; pass ({against!r},)")
     against = tuple(against)
+    names = set()
     for entry in against:
         if entry not in ("oracle", "netlist") and not str(entry).endswith(".npz"):
             raise ValueError(f"against entry {entry!r} is not 'oracle', 'netlist' "
                              "or the path of a .npz netlist")
+        if str(entry) in names:
+            raise ValueError(f"against names {str(entry)!r} more than once")
+        names.add(str(entry))
     if not against:
         raise ValueError("against must name at least one evaluator, got none")
     net = build_npid(config)

@@ -16,7 +16,9 @@ The two-input stages (error and integral) are tabulated when the oracle
 is built: the array path sums their contribution tables over every input
 tuple and searches the step points once, at O(N^2) time and memory per
 stage, so a tick reads two map entries and computes only the three-input
-control stage (build costs in the PidOracle docstring).
+control stage, inline in step_bins: its contribution tables summed left
+to right and one bisect_right over its step points, the adds and search
+of _StageModel.bin (build costs in the PidOracle docstring).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ValueGrid, bin_rows, encode, nan_input
-from .units import choose_scale, quantize_weight, round_half_away
+from .units import (MODE_FLOOR, MODE_NEAREST, choose_scale, quantize_weight,
+                    round_half_away)
 
 __all__ = [
     "PidGains",
@@ -209,9 +212,11 @@ class PidOracle:
     19 MB of temporaries (float or quantized) at N=1001, where the two
     maps keep 2 MB each (2-vCPU Xeon, Python 3.11, numpy 2.4; medians of
     7 builds, peak RSS rise).  The control stage, N^3 tuples (3.4 million
-    at N=151), is computed per tick by _StageModel.bin.  Each stage
-    sorts its step points once, when it is built, and every bin, mapped
-    or per tick, is the count of those points at or below the sum.
+    at N=151), is computed per tick in step_bins, which reads the
+    stage's three tables and step points once, at build, and makes
+    _StageModel.bin's adds in its order.  Each stage sorts its step
+    points once, when it is built, and every bin, mapped or per tick, is
+    the count of those points at or below the sum.
     """
 
     def __init__(self, grids, gains: PidGains, dt: float, lam: float = 1.0,
@@ -220,6 +225,11 @@ class PidOracle:
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
         if not 0 < lam <= 1:
             raise ValueError(f"decay must lie in (0, 1], got {lam!r}")
+        if mode not in (MODE_FLOOR, MODE_NEAREST):
+            raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
+                             f"got {mode!r}")
+        if not isinstance(quantized, bool):
+            raise ValueError(f"quantized must be a bool, got {quantized!r}")
         self.grids = grids
         self.gains = gains
         self.dt = dt
@@ -242,6 +252,7 @@ class PidOracle:
              [gains.kd * v for v in grids.derivative.values]],
             grids.output, mode, quantized,
         )
+        self._ctl_tick = (*self._ctl.tables, self._ctl.points)
         self._err_map = bin_rows(self._err.stage_map(), grids.error)
         self._int_map = bin_rows(self._int.stage_map(), grids.integral)
 
@@ -252,7 +263,8 @@ class PidOracle:
                   measurement_bin: int, derivative_bin: int) -> int:
         e_bin = self._err_map[target_bin][measurement_bin]
         i_bin = self._int_map[state.integral_bin][e_bin]
-        u_bin = self._ctl.bin(e_bin, i_bin, derivative_bin)
+        c0, c1, c2, points = self._ctl_tick
+        u_bin = bisect_right(points, c0[e_bin] + c1[i_bin] + c2[derivative_bin])
         state.integral_bin = i_bin
         return u_bin
 

@@ -28,12 +28,14 @@ spikes from their bins) call it.  AdderUnit.eval_all_pairs is the one
 exhaustive path, for any number of inputs: it propagates one row per
 aggregate firing class (AdderUnit.firing_class), since rows whose
 potentials no threshold separates fire every neuron alike.
-The controller ticks its two-input units from their eval_all_pairs maps,
-built once per network, and its three-input control unit on
-AdderUnit.winner_bin, which skips the layers through the prefix property
-and is bit-identical to eval_bins: the winner is the number of the
-unit's sorted step points (where a non-zero pos neuron starts firing or
-a non-zero neg neuron stops) at or below the summed potential.
+AdderUnit.winner_bin skips the layers through the prefix property and
+is bit-identical to eval_bins: the winner is the number of the unit's
+sorted step points (where a non-zero pos neuron starts firing or a
+non-zero neg neuron stops) at or below the summed potential.  The
+controller ticks its two-input units from their eval_all_pairs maps,
+built once per config, and its three-input control unit inline on
+AdderUnit.tick_tables, the weight rows and step points winner_bin reads,
+with winner_bin's adds in its order.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ class AdderUnit:
                  else [math.nextafter(-t, math.inf) for t in thr_neg])
         points = sorted([*thr_pos[1:], *stops[1:]])
         self._ladder = np.sort([thr_pos[0], stops[0], *points])
-        # What winner_bin reads, in one attribute read per call.
-        self._tick = (tuple(weights), points)
+        # (weight rows, step points): what winner_bin reads, in one
+        # attribute read per call, and what NpidNetwork.step inlines.
+        self.tick_tables = (tuple(weights), points)
         self._thr_pos_col = np.asarray(thr_pos)[:, None]
         self._thr_neg_col = np.asarray(thr_neg)[:, None]
         self._weight_arrs = [np.asarray(w) for w in weights]
@@ -215,7 +218,7 @@ class AdderUnit:
         passes the stops of the neg neurons that do not fire on it.
         Bit-identical to eval_bins (tested exhaustively).
         """
-        weights, points = self._tick
+        weights, points = self.tick_tables
         # Not sum(): from Python 3.12 it compensates float sums, which
         # eval_bins' numpy adds do not.
         s = weights[0][bins[0]]

@@ -545,6 +545,13 @@ class TestCosimulate:
         (10, (), "against must name at least one evaluator"),
         (0, ("oracle",), "ticks must be an integer >= 1, got 0"),
         (2.5, ("oracle",), "ticks must be an integer >= 1, got 2.5"),
+        (10, "oracle", "against must be a sequence of evaluators, got the bare 'oracle'"),
+        (10, "net.npz", "against must be a sequence of evaluators, got the bare 'net.npz'"),
+        (10, Path("net.npz"), "against must be a sequence of evaluators, got the bare "
+                              f"{Path('net.npz')!r}"),
+        (10, ("oracle", "oracle"), "against names 'oracle' more than once"),
+        (10, ("netlist", "oracle", "netlist"), "against names 'netlist' more than once"),
+        (10, ("net.npz", Path("net.npz")), "against names 'net.npz' more than once"),
     ])
     def test_bad_argument_rejected_by_name(self, ticks, against, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

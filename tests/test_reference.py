@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields
@@ -300,6 +301,25 @@ class TestOracle:
         grids = default_config(n=15).build_grids()
         with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt!r}$"):
             PidOracle(grids, GAINS, dt)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"quantized": "no"}, "quantized must be a bool, got 'no'"),
+        ({"quantized": 1}, "quantized must be a bool, got 1"),
+        ({"quantized": None}, "quantized must be a bool, got None"),
+        ({"mode": "sideways"}, "mode must be 'floor' or 'nearest', got 'sideways'"),
+        ({"mode": "Nearest"}, "mode must be 'floor' or 'nearest', got 'Nearest'"),
+        ({"mode": None}, "mode must be 'floor' or 'nearest', got None"),
+    ])
+    def test_invalid_mode_or_quantized_rejected_before_any_stage(
+            self, monkeypatch, kwargs, message):
+        grids = default_config(n=15).build_grids()
+
+        def no_stage(*args, **kw):
+            raise AssertionError("a stage was built before the arguments were checked")
+
+        monkeypatch.setattr("spikepid.reference._StageModel", no_stage)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PidOracle(grids, GAINS, DT, **kwargs)
 
     @pytest.mark.parametrize("name", ["target", "measurement", "derivative"])
     def test_nan_input_rejected_by_name_before_the_state_changes(self, name):
