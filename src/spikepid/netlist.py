@@ -16,14 +16,18 @@ per column, named "neurons.id", ..., "synapses.delay", and "meta": the
 meta dict plus "version" as a JSON string in a 0-d unicode array.  save
 writes exactly the path it is given; the zip entries carry zip's fixed
 1980 timestamp, so equal netlists give equal bytes.  load reads with
-allow_pickle=False and accepts version 3 only.  Netlist.validate is the
-one column check; export and load each run it once.
+allow_pickle=False, accepts version 3 only and rejects any array but
+meta and the seven columns.  Netlist.validate is the one column check;
+export and load each run it once.  export_netlist writes each synapse
+column once, in its file dtype, each unit into its own slice.
 
 NetlistRuntime re-evaluates a netlist from the graph alone (levels from
 zero-delay depth, input and reduce neurons by their place in the layer),
 which gives an independent check that the exported wiring reproduces the
 units' behavior bit-exactly.  Its docstring gives the two kernels that
-replay a level: one sum per broadcast level, or synapse by synapse.
+replay a level: one sum per broadcast level, or synapse by synapse.  It
+reads a level's synapses as a slice of the columns when they form one
+run, as export writes every level, and keeps no view of them.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class Netlist:
                 raise ValueError(f"synapses.weight row {k} is {weight[k]}, not an even "
                                  "integer in [-256, 254]")
         n = len(self.neurons)
-        if len(np.unique(self.neurons.id)) != n:
+        if len(set(self.neurons.id.tolist())) != n:
             raise ValueError("neurons.id has duplicate ids")
         for name in ("src", "dst"):
             col = getattr(self.synapses, name)
@@ -165,6 +169,12 @@ class Netlist:
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"meta.version must be {FORMAT_VERSION}, got {version!r}")
+        known = {f"{table.section}.{name}" for table in (Neurons, Synapses)
+                 for name in table.Row._fields}
+        unknown = sorted(set(arrays) - known)
+        if unknown:
+            raise ValueError(f"{unknown[0]} is not an array of a version-{FORMAT_VERSION} "
+                             "netlist")
         try:
             nl = cls(*(table(*(arrays[f"{table.section}.{name}"]
                                for name in table.Row._fields))
@@ -192,6 +202,11 @@ def export_netlist(units, inputs, wiring) -> Netlist:
     wiring: per unit, one (kind, name, delay) triple per input port where
     kind is "input" (a named population) or "unit" (that unit's reduce
     layer).
+
+    Each synapse column is allocated once, in its file dtype, from the
+    units' synapse_count, and each unit's synapse_columns writes its rows
+    into its own slice of the four, so the export peaks at little more
+    than the netlist it returns.
     """
     units = list(units)
     # Index of the first neuron of each input population and each unit.
@@ -201,9 +216,12 @@ def export_netlist(units, inputs, wiring) -> Netlist:
                                 + [u.neuron_count for u in units], initial=0)))
     unit_by_name = {u.name: u for u in units}
 
-    # Empty columns of the narrowest types, so a netlist with no units is typed too.
-    parts = [tuple(np.empty(0, t) for t in (np.int32, np.int32, np.int16, np.int8))]
-    for u, ports in zip(units, wiring):
+    # Weights are int16 only when every unit is quantized, so a netlist
+    # of no units is typed too.
+    ends = list(accumulate((u.synapse_count for u in units), initial=0))
+    weight_type = np.int16 if all(u.quantized for u in units) else np.float64
+    columns = [np.empty(ends[-1], t) for t in (np.int32, np.int32, weight_type, np.int8)]
+    for u, ports, lo, hi in zip(units, wiring, ends, ends[1:]):
         sources, delays = [], []
         for p, (kind, src_name, delay) in enumerate(ports):
             if kind == "input":
@@ -220,7 +238,8 @@ def export_netlist(units, inputs, wiring) -> Netlist:
                 )
             sources.append(np.arange(start, start + grid.n))
             delays.append(delay)
-        parts.append(u.synapse_columns(first["unit", u.name], sources, delays))
+        u.synapse_columns(first["unit", u.name], sources, delays,
+                          [col[lo:hi] for col in columns])
 
     meta = {
         "scale": {u.name: u.scale for u in units},
@@ -230,7 +249,7 @@ def export_netlist(units, inputs, wiring) -> Netlist:
         "unit_outputs": {u.name: u.output.to_dict() for u in units},
     }
     nl = Netlist(neurons=neuron_columns(units, inputs),
-                 synapses=Synapses(*map(np.concatenate, zip(*parts))), meta=meta)
+                 synapses=Synapses(*columns), meta=meta)
     nl.validate()
     return nl
 
@@ -361,7 +380,8 @@ class NetlistRuntime:
         self._levels = []
         for depth in np.unique(level[level >= 0]):
             nodes = np.flatnonzero(level == depth)
-            mine = np.flatnonzero(into == depth)  # its synapses, in file order
+            # Its synapses, in file order: a slice when they form one run.
+            mine = _run(np.flatnonzero(into == depth))
             feeds = np.zeros(2 * n, dtype=bool)
             feeds[src[mine]] = True
             sources = np.flatnonzero(feeds)
@@ -385,7 +405,8 @@ class NetlistRuntime:
                                  f"from {str(neurons.id[sources[r] % n])!r} with delay "
                                  f"{sources[r] // n}")
             self._levels.append((_run(nodes), threshold[nodes], src[mine].astype(np.intp),
-                                 weight, None, col.astype(np.intp)))
+                                 weight.copy(), None,  # no view of the netlist kept
+                                 col.astype(np.intp)))
 
         # Every unit's reduce neurons, unit after unit, so that one read
         # finds all winners; per position, its unit and its bin there.

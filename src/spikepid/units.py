@@ -341,32 +341,48 @@ class AdderUnit:
         return ids, layers, np.array([*self.thr_pos, *self.thr_neg]
                                      + [REDUCE_THRESHOLD] * self.n_out)
 
-    def synapse_columns(self, first, sources, delays) -> tuple[np.ndarray, ...]:
-        """(src, dst, weight, delay) arrays of this unit's synapses in file
-        order: int32 neuron indices, float64 weights (int16 when
-        quantized) and int8 delays.  first is the index of this unit's
-        first neuron; sources[p][i] is the neuron index of bin i of input
+    def _reduce_wiring(self) -> np.ndarray:
+        """One row per reduce neuron: its exc1, exc2, inh1 and inh2
+        aggregate sources (-1: no synapse)."""
+        return np.stack([self._exc1, self._exc2, self._inh1, self._inh2], axis=1)
+
+    @property
+    def synapse_count(self) -> int:
+        """The rows synapse_columns writes: every input bin into every
+        aggregate neuron, then each wired reduce source."""
+        bins = sum(spec.grid.n for spec in self.inputs)
+        return (bins * (self.pos_count + self.neg_count)
+                + int(np.count_nonzero(self._reduce_wiring() >= 0)))
+
+    def synapse_columns(self, first, sources, delays, out) -> None:
+        """Write this unit's synapses, in file order, into out: the
+        (src, dst, weight, delay) column views of its synapse_count rows,
+        in the netlist's dtypes.  first is the index of this unit's first
+        neuron; sources[p][i] is the neuron index of bin i of input
         population p, and delays[p] the tick delay of that population's
         edges.  Each input neuron drives every aggregate neuron (pos, then
-        neg); each reduce neuron then gets its excitatory, then
-        inhibitory, sources."""
+        neg), written as one bins x aggregates block per port; each reduce
+        neuron then gets its excitatory, then inhibitory, sources."""
+        src, dst, weight, delay = out
         agg = self.pos_count + self.neg_count
         targets = np.arange(first, first + agg)
         sign = np.repeat([1, -1], [self.pos_count, self.neg_count])  # exact negation
-        parts = [(np.repeat(s, agg), np.tile(targets, len(s)), np.outer(w, sign).ravel(),
-                  np.full(len(s) * agg, d))
-                 for w, s, d in zip(self._weight_arrs, sources, delays)]
-        # One row per reduce neuron: exc1, exc2, inh1, inh2 (-1: no synapse).
-        wiring = np.stack([self._exc1, self._exc2, self._inh1, self._inh2], axis=1)
+        k = 0
+        for w, s, d in zip(self._weight_arrs, sources, delays):
+            rows, block = slice(k, k + len(s) * agg), (len(s), agg)
+            src[rows].reshape(block)[...] = s[:, None]
+            dst[rows].reshape(block)[...] = targets
+            np.multiply.outer(w, sign, out=weight[rows].reshape(block))
+            delay[rows] = d
+            k = rows.stop
+        wiring = self._reduce_wiring()
         wired = wiring >= 0
-        parts.append((first + wiring[wired],
-                      np.repeat(np.arange(first + agg, first + agg + self.n_out),
-                                wired.sum(axis=1)),
-                      np.broadcast_to([REDUCE_EXC, REDUCE_EXC, REDUCE_INH, REDUCE_INH],
-                                      wiring.shape)[wired],
-                      np.zeros(wired.sum(), dtype=int)))
-        types = np.int32, np.int32, np.int16 if self.quantized else np.float64, np.int8
-        return tuple(np.concatenate(col, dtype=t) for col, t in zip(zip(*parts), types))
+        src[k:] = first + wiring[wired]
+        dst[k:] = np.repeat(np.arange(first + agg, first + agg + self.n_out),
+                            wired.sum(axis=1))
+        weight[k:] = np.broadcast_to([REDUCE_EXC, REDUCE_EXC, REDUCE_INH, REDUCE_INH],
+                                     wiring.shape)[wired]
+        delay[k:] = 0
 
 
 def _aggregate_thresholds(output: ValueGrid, mode: str):

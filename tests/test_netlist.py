@@ -108,6 +108,24 @@ class TestExport:
             export_netlist([unit], {"a": unit.inputs[0].grid, "b": unit.inputs[1].grid},
                            AB_WIRING)
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_export_peak_is_under_one_and_a_half_netlists(self, quantized):
+        """An N=151 export writes each synapse column once, in its file
+        dtype: its traced peak stays under 1.5x the netlist it returns
+        (2.1x float and 2.2x quantized when each unit concatenated int64
+        parts and the export concatenated the units)."""
+        net = build_npid(default_config(n=151, quantized=quantized))
+        net.export_netlist()  # numpy's lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            nl = net.export_netlist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(col.nbytes for table in (nl.neurons, nl.synapses)
+                   for col in vars(table).values())
+        assert peak < 1.5 * size, (peak, size)
+
     def test_port_grid_size_mismatch_rejected(self):
         g3 = make_grid(-1, 1, 3)
         g5 = make_grid(-1, 1, 5)
@@ -197,6 +215,8 @@ class TestSerialization:
         ("neurons.id", lambda d: d["neurons.id"].__setitem__(1, "a[0]")),
         ("meta.version", lambda d: d.__setitem__("meta", np.array(json.dumps(
             {**json.loads(d["meta"].item()), "version": 2})))),
+        ("synapses.extra", lambda d: d.__setitem__("synapses.extra", d["synapses.delay"])),
+        ("notes", lambda d: d.__setitem__("notes", np.array("an array the format lacks"))),
     ])
     def test_bad_columns_rejected_by_field(self, field, edit, tmp_path):
         """Edit one array of a saved file and write it back: load rejects
@@ -558,6 +578,23 @@ class TestGraphRuntime:
         finally:
             tracemalloc.stop()
         assert kept < 0.5e6
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_runtime_keeps_no_view_of_the_synapse_columns(self, quantized):
+        """A level's synapses are read as slices of the file's columns, but
+        no array the runtime keeps shares memory with them, so a runtime
+        never pins its netlist."""
+        nl = build_npid(default_config(n=15, quantized=quantized)).export_netlist()
+        kept, todo = [], list(vars(NetlistRuntime(nl)).values())
+        while todo:
+            item = todo.pop()
+            if isinstance(item, np.ndarray):
+                kept.append(item)
+            elif isinstance(item, (list, tuple, dict)):
+                todo.extend(item.values() if isinstance(item, dict) else item)
+        assert len(kept) > 20  # every level's arrays were found
+        for name, col in vars(nl.synapses).items():
+            assert not any(np.shares_memory(a, col) for a in kept), name
 
     def test_reduce_without_one_winner_raises(self):
         _, nl = fig2_setup()
