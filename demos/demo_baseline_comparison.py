@@ -5,7 +5,7 @@ plant, same gains, same 70 Hz loop."""
 import os
 
 from spikepid import compare, step_experiment
-from spikepid.harness import run_step_response, write_svg
+from spikepid.harness import run_step_response, settle_band, write_svg
 
 os.makedirs("out", exist_ok=True)
 
@@ -25,8 +25,9 @@ series = []
 for cfg in cfgs:
     trace, _ = run_step_response(cfg)
     series.append((cfg.label, trace.t, trace.z))
+# the band RunMetrics.settled judges both N=151 runs on
 write_svg(series, "out/baseline_comparison.svg", setpoint=SETPOINT,
-          band=4.0 / 150)
+          band=settle_band(cfgs[0].npid.target_grid.build(), SETPOINT))
 print("\nwrote out/baseline_comparison.svg")
 print("the spiking loop trades a little smoothness for a network of "
       "909 threshold neurons; the baseline works on raw floats.")

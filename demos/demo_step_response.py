@@ -7,7 +7,7 @@ Writes trace CSVs and an overlay SVG into ./out/.
 import os
 
 from spikepid import run_step_response, step_experiment
-from spikepid.harness import write_svg
+from spikepid.harness import settle_band, write_svg
 
 os.makedirs("out", exist_ok=True)
 
@@ -29,8 +29,8 @@ for label, cfg in runs:
           f"{m.overshoot_pct:5.1f} % | settles {m.settling_time:5.2f} s | "
           f"steady error {m.steady_state_error * 100:5.2f} cm")
 
-# one measurement bin either side of the set-point, N=151 flavor
-band = 4.0 / 150
+# the band RunMetrics.settled judges the N=151 run on
+band = settle_band(runs[0][1].npid.target_grid.build(), SETPOINT)
 write_svg(series, "out/step_responses.svg", setpoint=SETPOINT, band=band)
 print("\nwrote out/step_*.csv and out/step_responses.svg")
 print("note: the coarse quadratic controller holds a small steady offset; "

@@ -28,6 +28,7 @@ from .harness import (
     compare,
     load_config,
     run_step_response,
+    settle_band,
     step_experiment,
     verify_adder,
     write_summary_csv,
@@ -106,10 +107,8 @@ def cmd_run(args) -> int:
     print(f"  saturation       : {metrics.saturation_fraction:.3f}")
     if args.out:
         trace.write_csv(args.out + ".csv")
-        band = (cfg.npid.target_grid.hi - cfg.npid.target_grid.lo) / (
-            cfg.npid.target_grid.n - 1)
-        write_svg([("altitude", trace.t, trace.z)], args.out + ".svg",
-                  setpoint=cfg.setpoint, band=band)
+        write_svg([("altitude", trace.t, trace.z)], args.out + ".svg", setpoint=cfg.setpoint,
+                  band=settle_band(cfg.npid.target_grid.build(), cfg.setpoint))
         print(f"wrote {args.out}.csv and {args.out}.svg")
     return 0
 

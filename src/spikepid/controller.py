@@ -9,9 +9,10 @@ Dataflow per control tick (all signals one-hot):
     error bin + integral bin + derivative input
         -> control unit -> output bin -> decoded thrust offset
 
-The graph is stated once, in a port table: per unit, its output grid
-and its input ports in sum order (source population or unit, delay,
-sign, gain).  The units are built from it; the netlist wiring, the
+The graph is stated once, in port_table: each population's grid field
+and, per unit, its input ports in sum order (source population or unit,
+delay, sign, gain).  The units are built from it; a quantized config's
+weight range is checked on it at construction; the netlist wiring, the
 raster and neuron_count read it.  NpidNetwork.step is its hand-written
 hot path, which every raster read checks against it.
 
@@ -58,7 +59,7 @@ import numpy as np
 from .grids import ValueGrid, bin_rows, check_grid, encode, make_grid, nan_input
 from .netlist import Netlist, export_netlist, neuron_columns
 from .reference import PidGains
-from .units import MODE_FLOOR, MODE_NEAREST, InputSpec, build_adder
+from .units import MODE_FLOOR, MODE_NEAREST, WEIGHT_MAX, build_adder
 
 __all__ = [
     "GridSpec",
@@ -98,9 +99,15 @@ class GridSpec:
             raise ValueError(f"{name}.{e}") from None
 
 
+# The NpidConfig fields of the five grids, in NpidGrids' order.
+GRID_FIELDS = ("target_grid", "error_grid", "integral_grid", "derivative_grid",
+               "output_grid")
+
+
 @dataclass(frozen=True)
 class NpidGrids:
-    """The five built value grids of one controller instance."""
+    """The five built value grids of one controller instance, in the
+    order of GRID_FIELDS."""
 
     target_measurement: ValueGrid
     error: ValueGrid
@@ -145,11 +152,27 @@ class NpidConfig:
                              f"got {self.mode!r}")
         if not isinstance(self.quantized, bool):
             raise ValueError(f"quantized must be a bool, got {self.quantized!r}")
-        for name in ("target_grid", "error_grid", "integral_grid",
-                     "derivative_grid", "output_grid"):
+        for name in GRID_FIELDS:
             spec = getattr(self, name)
             if spec is not None:  # a None integral grid is sized on build
                 spec.validate(name)
+        if self.quantized:
+            self._check_weight_range()
+
+    def _check_weight_range(self) -> None:
+        """Raise ValueError, naming the unit, the port and the fields to
+        change, where a port's largest weight, |gain| x the largest |value|
+        of its source grid, exceeds WEIGHT_MAX: no quantization scale >= 1
+        can represent it, so the unit could not build."""
+        field_of, ports = port_table(self)
+        specs = self.grid_specs()
+        for unit, unit_ports in ports.items():
+            for src, _, _, gain, reads in unit_ports:
+                spec = specs[field_of[src]]
+                w = abs(gain) * max(abs(spec.lo), abs(spec.hi))
+                if not w <= WEIGHT_MAX:
+                    raise ValueError(f"quantized: {unit} unit port {src!r} ({reads} * "
+                                     f"{field_of[src]}) reaches weight {w!r} > {WEIGHT_MAX}")
 
     def resolved_integral_grid(self) -> GridSpec:
         """Integral grid, sized by default so a full-scale integral alone
@@ -160,17 +183,16 @@ class NpidConfig:
         return GridSpec(-bound, bound, self.output_grid.n,
                         self.output_grid.distribution)
 
+    def grid_specs(self) -> dict[str, GridSpec]:
+        """The spec of each of GRID_FIELDS, the integral grid resolved."""
+        return {name: getattr(self, name) for name in GRID_FIELDS} | {
+            "integral_grid": self.resolved_integral_grid()}
+
     def build_grids(self) -> NpidGrids:
         """Build the five grids.  The error, integral and output grids must
         hold the exact value 0: every adder unit splits its aggregate layer
         there."""
-        grids = NpidGrids(
-            target_measurement=self.target_grid.build(),
-            error=self.error_grid.build(),
-            integral=self.resolved_integral_grid().build(),
-            derivative=self.derivative_grid.build(),
-            output=self.output_grid.build(),
-        )
+        grids = NpidGrids(*(spec.build() for spec in self.grid_specs().values()))
         for name, grid in (("error_grid", grids.error),
                            ("output_grid", grids.output),
                            ("integral_grid", grids.integral)):
@@ -200,22 +222,28 @@ def default_config(n: int = 151, distribution: str = "uniform",
 
 @dataclass
 class SpikeTrace:
-    """Per-tick bins of one recording.  With a network (record_raster's
-    raster flag) it derives its spike raster from them; else it reads []."""
+    """Per-tick bins of one recording.  Its thrust column reads the output
+    bins' output_values; with a network (record_raster's raster flag) its
+    spike raster derives from the bins too, else it reads []."""
 
     dt: float
+    output_values: tuple[float, ...] = field(default=(), repr=False)
     target_bin: list[int] = field(default_factory=list)
     measurement_bin: list[int] = field(default_factory=list)
     error_bin: list[int] = field(default_factory=list)
     integral_bin: list[int] = field(default_factory=list)
     deriv_bin: list[int] = field(default_factory=list)
     output_bin: list[int] = field(default_factory=list)
-    output_newton: list[float] = field(default_factory=list)
     integral_start: int | None = None  # the delay-1 integral input at tick 0
     network: NpidNetwork | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.output_bin)
+
+    @property
+    def output_newton(self) -> list[float]:
+        """The decoded thrust offset [N] of each tick."""
+        return list(map(self.output_values.__getitem__, self.output_bin))
 
     @property
     def raster(self) -> list[tuple[int, str, str]]:
@@ -234,7 +262,7 @@ class SpikeTrace:
                  for name, grid in net._inputs.items()]
         winners = []
         for unit in net.units:
-            ports = net._ports[unit.name][1]
+            ports = net._ports[unit.name]
             w, *masks = unit.eval_bins(  # pos, neg, reduce masks
                 np.array([(past if delay else now)[src] for src, delay, *_ in ports]).T)
             winners.append(w)
@@ -265,6 +293,26 @@ class SpikeTrace:
         write_csv_rows(path, ("tick", "neuron_id", "layer"), self.raster)
 
 
+def port_table(config: NpidConfig) -> tuple[dict, dict]:
+    """The graph of a config: the field (of GRID_FIELDS) of each
+    population's grid, the input populations in netlist and raster order
+    and then the units in build order, and per unit its input ports in
+    sum order, (source population or unit, delay, sign, gain, the config
+    values the gain reads)."""
+    g = config.gains
+    grids = {"target": "target_grid", "measurement": "target_grid",
+             "derivative": "derivative_grid", "error": "error_grid",
+             "integral": "integral_grid", "control": "output_grid"}
+    ports = {
+        "error": (("target", 0, 1, 1.0, "1"), ("measurement", 0, -1, 1.0, "1")),
+        "integral": (("integral", 1, 1, config.decay, "decay"),
+                     ("error", 0, 1, config.dt, "dt")),
+        "control": (("error", 0, 1, g.kp, "kp"), ("integral", 0, 1, g.ki, "kp/ti"),
+                    ("derivative", 0, 1, g.kd, "kp*td")),
+    }
+    return grids, ports
+
+
 # Distinct configs whose tables stay built: the golden set's 12 and room
 # to spare.
 _CACHED_CONFIGS = 16
@@ -281,24 +329,14 @@ def _tables(key: str, config: NpidConfig) -> tuple:
     == GridSpec(0.0, 4, n), yet the grids' lo differ in sign, and so do
     the zero weights of PidGains(td=-0.0) and PidGains(td=0.0)."""
     grids = config.build_grids()
-    g, dt, lam = config.gains, config.dt, config.decay
-    tm = grids.target_measurement
-    # The input populations, in netlist and raster order.
-    inputs = {"target": tm, "measurement": tm, "derivative": grids.derivative}
-    # Per unit, in build order: its output grid and its input ports in
-    # sum order, (source population or unit, delay, sign, gain).
-    ports = {
-        "error": (grids.error, (("target", 0, 1, 1.0), ("measurement", 0, -1, 1.0))),
-        "integral": (grids.integral, (("integral", 1, 1, lam), ("error", 0, 1, dt))),
-        "control": (grids.output, (("error", 0, 1, g.kp), ("integral", 0, 1, g.ki),
-                                   ("derivative", 0, 1, g.kd))),
-    }
-    grid_of = {**inputs, **{u: out for u, (out, _) in ports.items()}}
+    field_of, ports = port_table(config)
+    built = dict(zip(GRID_FIELDS, vars(grids).values()))
+    grid_of = {name: built[f] for name, f in field_of.items()}
     units = tuple(
-        build_adder([InputSpec(grid_of[src], sign, gain)
-                     for src, _, sign, gain in unit_ports],
-                    out, mode=config.mode, quantized=config.quantized, name=name)
-        for name, (out, unit_ports) in ports.items())
+        build_adder([(grid_of[src], sign, gain) for src, _, sign, gain, _ in unit_ports],
+                    grid_of[name], mode=config.mode, quantized=config.quantized, name=name)
+        for name, unit_ports in ports.items())
+    inputs = {name: grid for name, grid in grid_of.items() if name not in ports}
     err_map = tuple(bin_rows(units[0].eval_all_pairs(), grids.error))
     int_map = tuple(bin_rows(units[1].eval_all_pairs(), grids.integral))
     weights, points = units[2].tick_tables
@@ -352,7 +390,6 @@ class NpidNetwork:
         w0, w1, w2, points = self._ctl
         u_bin = bisect_right(points, w0[e_bin] + w1[i_bin] + w2[d_bin])
         self.integral_bin = i_bin
-        u = grids.output.values[u_bin]
         if self._trace is not None:
             tr = self._trace
             tr.target_bin.append(t_bin)
@@ -361,8 +398,7 @@ class NpidNetwork:
             tr.integral_bin.append(i_bin)
             tr.deriv_bin.append(d_bin)
             tr.output_bin.append(u_bin)
-            tr.output_newton.append(u)
-        return u
+        return grids.output.values[u_bin]
 
     def reset(self) -> None:
         """Zero the integral state and delay buffers and drop the trace,
@@ -392,7 +428,7 @@ class NpidNetwork:
         stopped trace stays fetchable until the next reset."""
         if on:
             self._trace = self._recorded = SpikeTrace(
-                dt=self.config.dt, integral_start=self.integral_bin,
+                self.config.dt, self.grids.output.values, integral_start=self.integral_bin,
                 network=self if raster else None)
         else:
             self._trace = None
@@ -403,11 +439,10 @@ class NpidNetwork:
         return self._recorded
 
     def export_netlist(self) -> Netlist:
-        """Serialize the controller as a flat neuron/synapse graph; the
-        recurrent integral edge is the only delay-1 wiring."""
+        """Serialize the controller as a flat neuron/synapse graph, wired by
+        (source, delay) pairs; the integral edge is the only delay-1 one."""
         return export_netlist(self.units, self._inputs, [
-            [("input" if src in self._inputs else "unit", src, delay)
-             for src, delay, *_ in ports] for _, ports in self._ports.values()])
+            [(src, delay) for src, delay, *_ in ports] for ports in self._ports.values()])
 
 
 def build_npid(config: NpidConfig) -> NpidNetwork:

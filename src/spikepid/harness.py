@@ -44,6 +44,7 @@ __all__ = [
     "ExperimentConfig",
     "TraceRecord",
     "RunMetrics",
+    "settle_band",
     "run_step_response",
     "AdderCheckReport",
     "verify_adder",
@@ -185,6 +186,16 @@ class RunMetrics:
     saturation_fraction: float   # fraction of ticks at the output limits
 
 
+def settle_band(meas_grid: ValueGrid, setpoint: float) -> tuple[float, float]:
+    """The altitudes (lo, hi] that RunMetrics.settled counts as in band,
+    those encoded within one bin of the set-point's bin b: lo is boundary
+    b - 2 (-inf for b < 2), hi boundary b + 1 (+inf past the last)."""
+    bounds = meas_grid._boundaries
+    b = encode(meas_grid, setpoint)
+    return (bounds[b - 2] if b >= 2 else -math.inf,
+            bounds[b + 1] if b + 1 < len(bounds) else math.inf)
+
+
 def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
              meas_grid: ValueGrid) -> RunMetrics:
     z = trace.z
@@ -195,11 +206,8 @@ def _metrics(trace: TraceRecord, cfg: ExperimentConfig,
     n = len(z)
     dt = cfg.npid.dt
 
-    # Band: the set-point's measurement bin plus one bin either side.  The
-    # altitudes are finite, so searchsorted is encode's bisect_left.
-    sp_bin = encode(meas_grid, sp)
-    z_bins = np.searchsorted(meas_grid._boundaries, zs, side="left")
-    out_of_band = np.flatnonzero(np.abs(z_bins - sp_bin) > 1)
+    lo, hi = settle_band(meas_grid, sp)
+    out_of_band = np.flatnonzero((zs <= lo) | (zs > hi))
     last_out = int(out_of_band[-1]) if len(out_of_band) else -1
     settled = last_out < n - 1  # inside the band from last_out + 1 on
     settling_time = (last_out + 1) * dt if settled else math.inf
@@ -490,20 +498,16 @@ class BenchReport:
 def bench(config: NpidConfig | None = None, ticks: int = 1_000_000) -> BenchReport:
     """Wall-clock throughput of the controller step.
 
-    Drives the network with a fixed pseudo-random input cycle over its
-    target and derivative grids; reports mean throughput over all ticks
-    plus per-tick latency percentiles measured on a second pass of
-    min(20,000, ticks) ticks.
+    Drives the network with the cycle cosim_inputs(config, 1024, 0);
+    reports mean throughput over all ticks plus per-tick latency
+    percentiles measured on a second pass of min(20,000, ticks) ticks.
     """
     if not isinstance(ticks, numbers.Integral) or ticks < 1:
         raise ValueError(f"ticks must be an integer >= 1, got {ticks!r}")
     cfg = config or default_config(n=15, distribution="quadratic")
     net = build_npid(cfg)
-    rng = np.random.default_rng(0)
     cycle = 1024
-    tm, dg = cfg.target_grid, cfg.derivative_grid
-    targets, meas = rng.uniform(tm.lo, tm.hi, (2, cycle)).tolist()
-    derivs = rng.uniform(dg.lo, dg.hi, cycle).tolist()
+    targets, meas, derivs = zip(*(inputs for inputs, _ in cosim_inputs(cfg, cycle, 0)))
 
     step = net.step
     for k in range(cycle):  # warmup
@@ -544,19 +548,11 @@ SUMMARY_COLUMNS = ("label", "controller", "setpoint", "n", "distribution",
 
 
 def _summary_row(cfg: ExperimentConfig, metrics: RunMetrics) -> dict:
-    return {
-        "label": cfg.label,
-        "controller": cfg.controller,
-        "setpoint": cfg.setpoint,
-        "n": cfg.npid.output_grid.n,
-        "distribution": cfg.npid.output_grid.distribution,
-        "rise_time": metrics.rise_time,
-        "overshoot_pct": metrics.overshoot_pct,
-        "settling_time": metrics.settling_time,
-        "settled": metrics.settled,
-        "steady_state_error": metrics.steady_state_error,
-        "saturation_fraction": metrics.saturation_fraction,
-    }
+    """The SUMMARY_COLUMNS of a run, each read by name from the first of
+    the run, its output grid and its metrics that has it."""
+    sources = (cfg, cfg.npid.output_grid, metrics)
+    return {c: getattr(next(s for s in sources if hasattr(s, c)), c)
+            for c in SUMMARY_COLUMNS}
 
 
 def compare(cfgs) -> list[dict]:
@@ -576,13 +572,15 @@ def write_summary_csv(rows, path) -> None:
 # -- artifact emission ----------------------------------------------------------
 
 
-def write_svg(series, path, setpoint: float | None = None, band: float = 0.0) -> None:
-    """Minimal 640x360 line plot: one polyline per (label, xs, ys) series."""
+def write_svg(series, path, setpoint: float | None = None,
+              band: tuple[float, float] | None = None) -> None:
+    """Minimal 640x360 line plot: one polyline per (label, xs, ys) series, a
+    dashed setpoint line and settle_band's (lo, hi] shaded within the plot."""
     width, height, pad = 640, 360, 40
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if setpoint is not None:
-        ys_all = ys_all + [setpoint + band, setpoint - band]
+        ys_all = ys_all + [setpoint]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -603,12 +601,14 @@ def write_svg(series, path, setpoint: float | None = None, band: float = 0.0) ->
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+    if band is not None:
+        lo, hi = max(band[0], y0), min(band[1], y1)  # the band within the plot
+        if lo < hi:
+            parts.append(
+                f'<rect x="{pad}" y="{sy(hi):.2f}" width="{width - 2 * pad}" '
+                f'height="{max(sy(lo) - sy(hi), 1.0):.2f}" fill="#cccccc" opacity="0.5"/>'
+            )
     if setpoint is not None:
-        top, bot = sy(setpoint + band), sy(setpoint - band)
-        parts.append(
-            f'<rect x="{pad}" y="{top:.2f}" width="{width - 2 * pad}" '
-            f'height="{max(bot - top, 1.0):.2f}" fill="#cccccc" opacity="0.5"/>'
-        )
         parts.append(
             f'<line x1="{pad}" y1="{sy(setpoint):.2f}" x2="{width - pad}" '
             f'y2="{sy(setpoint):.2f}" stroke="#888888" stroke-dasharray="4,3"/>'

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import LAYER_INPUT, LAYER_REDUCE
+from .units import LAYER_INPUT, LAYER_REDUCE, WEIGHT_MAX, WEIGHT_MIN
 
 __all__ = ["Netlist", "export_netlist", "NetlistRuntime"]
 
@@ -118,11 +118,11 @@ class Netlist:
                                  "not a finite number")
         weight = self.synapses.weight
         if weight.dtype.kind in "iu":
-            bad = (weight < -256) | (weight > 254) | ((weight & 1) != 0)
+            bad = (weight < WEIGHT_MIN) | (weight > WEIGHT_MAX) | ((weight & 1) != 0)
             if bad.any():
                 k = int(np.argmax(bad))
                 raise ValueError(f"synapses.weight row {k} is {weight[k]}, not an even "
-                                 "integer in [-256, 254]")
+                                 f"integer in [{WEIGHT_MIN}, {WEIGHT_MAX}]")
         n = len(self.neurons)
         if len(set(self.neurons.id.tolist())) != n:
             raise ValueError("neurons.id has duplicate ids")
@@ -199,9 +199,9 @@ def export_netlist(units, inputs, wiring) -> Netlist:
     """Flatten adder units and input populations into a Netlist.
 
     inputs: dict name -> ValueGrid.
-    wiring: per unit, one (kind, name, delay) triple per input port where
-    kind is "input" (a named population) or "unit" (that unit's reduce
-    layer).
+    wiring: per unit, one (source, delay) pair per input port, where
+    source names an input population (a key of inputs) or else a unit,
+    whose reduce layer it reads.  A name that is both raises ValueError.
 
     Each synapse column is allocated once, in its file dtype, from the
     units' synapse_count, and each unit's synapse_columns writes its rows
@@ -209,12 +209,15 @@ def export_netlist(units, inputs, wiring) -> Netlist:
     than the netlist it returns.
     """
     units = list(units)
+    unit_by_name = {u.name: u for u in units}
+    for name in inputs:
+        if name in unit_by_name:
+            raise ValueError(f"wiring source {name!r} names both an input population "
+                             "and a unit")
     # Index of the first neuron of each input population and each unit.
-    first = dict(zip([("input", name) for name in inputs]
-                     + [("unit", u.name) for u in units],
+    first = dict(zip([*inputs, *unit_by_name],
                      accumulate([g.n for g in inputs.values()]
                                 + [u.neuron_count for u in units], initial=0)))
-    unit_by_name = {u.name: u for u in units}
 
     # Weights are int16 only when every unit is quantized, so a netlist
     # of no units is typed too.
@@ -223,14 +226,12 @@ def export_netlist(units, inputs, wiring) -> Netlist:
     columns = [np.empty(ends[-1], t) for t in (np.int32, np.int32, weight_type, np.int8)]
     for u, ports, lo, hi in zip(units, wiring, ends, ends[1:]):
         sources, delays = [], []
-        for p, (kind, src_name, delay) in enumerate(ports):
-            if kind == "input":
-                grid, start = inputs[src_name], first["input", src_name]
-            elif kind == "unit":  # the source unit's reduce layer
+        for p, (src_name, delay) in enumerate(ports):
+            if src_name in inputs:
+                grid, start = inputs[src_name], first[src_name]
+            else:  # the source unit's reduce layer
                 v = unit_by_name[src_name]
-                grid, start = v.output, first["unit", src_name] + v.pos_count + v.neg_count
-            else:
-                raise ValueError(f"unknown wiring source kind {kind!r}")
+                grid, start = v.output, first[src_name] + v.pos_count + v.neg_count
             if grid.n != u.inputs[p].grid.n:
                 raise ValueError(
                     f"port {p} of unit {u.name!r} expects {u.inputs[p].grid.n} "
@@ -238,7 +239,7 @@ def export_netlist(units, inputs, wiring) -> Netlist:
                 )
             sources.append(np.arange(start, start + grid.n))
             delays.append(delay)
-        u.synapse_columns(first["unit", u.name], sources, delays,
+        u.synapse_columns(first[u.name], sources, delays,
                           [col[lo:hi] for col in columns])
 
     meta = {

@@ -425,17 +425,12 @@ def build_adder(inputs, output: ValueGrid, mode: str = MODE_NEAREST,
                 quantized: bool = False, name: str = "adder") -> AdderUnit:
     """Build an adder unit over the given input populations.
 
-    inputs: sequence of InputSpec (or (grid, sign, gain) tuples).
-    The output grid must contain the exact value 0 -- the positive and
-    negative aggregate sub-populations split there.
+    inputs: sequence of (grid, sign, gain) tuples, one per population,
+    kept as the unit's InputSpecs.  The output grid must contain the
+    exact value 0 -- the positive and negative aggregate sub-populations
+    split there.
     """
-    specs = []
-    for item in inputs:
-        if isinstance(item, InputSpec):
-            specs.append(item)
-        else:
-            grid, sign, gain = item
-            specs.append(InputSpec(grid, sign, gain))
+    specs = [InputSpec(grid, sign, gain) for grid, sign, gain in inputs]
     if not specs:
         raise ValueError("adder needs at least one input population")
     if output.n == 0:

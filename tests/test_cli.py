@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spikepid import cli, harness
 from spikepid.cli import STEP_FLAGS, main
 from spikepid.controller import build_npid
 from spikepid.harness import step_experiment
@@ -18,6 +19,18 @@ def test_run(capsys, tmp_path):
     assert "settling time" in capsys.readouterr().out
     assert (tmp_path / "run.csv").exists()
     assert (tmp_path / "run.svg").exists()
+
+
+@pytest.mark.parametrize("n", [15, 151])
+def test_run_out_shades_the_settle_band(capsys, tmp_path, monkeypatch, n):
+    """run --out shades the band that RunMetrics.settled judges the run on."""
+    drawn = {}
+    monkeypatch.setattr(cli, "write_svg", lambda series, path, **kw: drawn.update(kw))
+    assert main(["run", "--neurons", str(n), "--duration", "1",
+                 "--out", str(tmp_path / "run")]) == 0
+    cfg = step_experiment(n=n)
+    assert drawn == {"setpoint": cfg.setpoint,
+                     "band": harness.settle_band(cfg.npid.target_grid.build(), cfg.setpoint)}
 
 
 def test_run_baseline(capsys):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikepid.controller import (_CACHED_CONFIGS, GridSpec, NpidConfig, _tables,
                                  build_npid, default_config)
@@ -136,6 +137,51 @@ class TestConfigValidation:
         cfg = step_experiment(n=n, distribution=distribution,
                               quantized=quantized)
         cfg.npid.build_grids()
+
+    @pytest.mark.parametrize("unit,port,reads,field,fields,weight", [
+        ("error", "target", "1", "target_grid",
+         dict(target_grid=GridSpec(0.0, 300.0, 15)), 300.0),
+        ("integral", "integral", "decay", "integral_grid",
+         dict(decay=0.92, integral_grid=GridSpec(-300, 300, 15)), 276.0),
+        ("control", "derivative", "kp*td", "derivative_grid",
+         dict(gains=PidGains(kp=1.0, td=600.0)), 300.0),
+    ])
+    def test_quantized_weight_past_the_range_rejected_at_construction(
+            self, unit, port, reads, field, fields, weight):
+        """A quantized port whose largest weight, |gain| times its source
+        grid's largest |value|, passes 254 leaves no scale >= 1, so the
+        config is refused when constructed, by unit, port and the fields
+        to change.  With float weights the same config builds."""
+        msg = (f"quantized: {unit} unit port '{port}' ({reads} * {field}) "
+               f"reaches weight {weight} > 254")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            default_config(n=15, quantized=True, **fields)
+        build_npid(default_config(n=15, **fields))
+
+    def test_largest_weight_at_the_range_edge_builds(self):
+        net = build_npid(default_config(n=15, quantized=True,
+                                        target_grid=GridSpec(0.0, 254.0, 15)))
+        assert net.error_unit.scale == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([3, 5, 15]), kp=st.floats(0.05, 3.0),
+           ti=st.floats(0.2, 20.0), td=st.floats(0.0, 1.0), rate=st.floats(20.0, 400.0),
+           decay=st.floats(0.5, 1.0), ends=st.lists(st.floats(0.1, 400.0), min_size=5,
+                                                    max_size=5))
+    def test_a_quantized_config_that_constructs_builds(self, n, kp, ti, td, rate,
+                                                       decay, ends):
+        """The construction check is the whole of choose_scale's: a quantized
+        config either is refused naming a port, or builds."""
+        t, e, i, d, o = ends
+        try:
+            cfg = NpidConfig(gains=PidGains(kp, ti, td), dt=1.0 / rate, decay=decay,
+                             quantized=True, target_grid=GridSpec(0.0, t, n),
+                             error_grid=GridSpec(-e, e, n), integral_grid=GridSpec(-i, i, n),
+                             derivative_grid=GridSpec(-d, d, n), output_grid=GridSpec(-o, o, n))
+        except ValueError as err:
+            assert str(err).startswith("quantized: ")
+            return
+        build_npid(cfg)
 
 
 class TestStep:
@@ -510,6 +556,15 @@ class TestTrace:
         z = net.grids.error.zero_index
         assert tr.error_bin[0] > z
         assert tr.error_bin[-1] == z
+
+    def test_thrust_column_reads_the_output_bins(self):
+        net = build_npid(default_config(n=15))
+        net.record_raster(True, raster=False)
+        thrust = [net.step(1.0, y, 0.0) for y in (0.0, 0.5, 1.5, 3.0)]
+        tr = net.fetch_trace()
+        assert tr.output_newton == thrust
+        with pytest.raises(AttributeError):
+            tr.output_newton = []
 
     def test_fetch_without_recording_raises(self):
         net = build_npid(default_config(n=15))

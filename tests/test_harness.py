@@ -13,7 +13,7 @@ import pytest
 
 from spikepid import cli, harness
 from spikepid.controller import build_npid, default_config
-from spikepid.grids import make_grid
+from spikepid.grids import encode, make_grid
 from spikepid.harness import (
     AdderCheckReport,
     ExperimentConfig,
@@ -88,6 +88,30 @@ class TestRunStepResponse:
                                                            duration=0.5))
         assert trace.z[-1] < 1.0
         assert not metrics.settled and metrics.settling_time == math.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 151])
+    @pytest.mark.parametrize("lo,hi,distribution", [(0.0, 4.0, "uniform"),
+                                                    (-2.0, 2.0, "quadratic")])
+    def test_settle_band_is_the_bin_test(self, n, lo, hi, distribution):
+        """An altitude lies in settle_band's (lo, hi] exactly when encode
+        puts it within one bin of the set-point's bin: at every boundary,
+        the doubles either side of it and past both ends, for a set-point
+        on each value and each boundary."""
+        grid = make_grid(lo, hi, n, distribution)
+        b = np.array(grid._boundaries)
+        zs = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                             [lo - 1.0, hi + 1.0]]).tolist()
+        for sp in [*grid.values, *b.tolist()]:
+            band_lo, band_hi = harness.settle_band(grid, sp)
+            for z in zs:
+                assert (band_lo < z <= band_hi) == (
+                    abs(encode(grid, z) - encode(grid, sp)) <= 1), (sp, z)
+
+    @pytest.mark.parametrize("n,band", [(15, (1.0, 1.857)), (151, (1.4533, 1.5333))])
+    def test_settle_band_of_the_stock_run(self, n, band):
+        cfg = step_experiment(setpoint=1.5, n=n)
+        assert harness.settle_band(cfg.npid.target_grid.build(), 1.5) == pytest.approx(
+            band, abs=5e-4)
 
     def test_coarse_quadratic_settles_with_offset(self):
         cfg = step_experiment(setpoint=1.0, n=15, distribution="quadratic")
@@ -616,7 +640,7 @@ class TestEmit:
         cfg = step_experiment(setpoint=1.0, duration=2.0)
         trace, _ = run_step_response(cfg)
         p = tmp_path / "plot.svg"
-        write_svg([("altitude", trace.t, trace.z)], p, setpoint=1.0, band=0.05)
+        write_svg([("altitude", trace.t, trace.z)], p, setpoint=1.0, band=(0.95, 1.05))
         text = p.read_text()
         assert text.count("<polyline") == 1
         assert "<rect" in text

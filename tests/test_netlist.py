@@ -20,7 +20,7 @@ from spikepid.reference import round_to_grid
 from spikepid.units import LAYER_INPUT, build_adder, eval_unit, one_hot
 
 
-AB_WIRING = [[("input", "a", 0), ("input", "b", 0)]]  # one unit adding a and b
+AB_WIRING = [[("a", 0), ("b", 0)]]  # one unit adding inputs a and b
 
 
 def fig2_setup(quantized=False):
@@ -131,7 +131,15 @@ class TestExport:
         g5 = make_grid(-1, 1, 5)
         unit = build_adder([(g3, 1, 1.0)], g3, name="u")
         with pytest.raises(ValueError):
-            export_netlist([unit], {"a": g5}, wiring=[[("input", "a", 0)]])
+            export_netlist([unit], {"a": g5}, wiring=[[("a", 0)]])
+
+    def test_name_of_both_an_input_and_a_unit_rejected(self):
+        """A wiring source is an input population when inputs has it and a
+        unit otherwise, so a name that is both is refused, by name."""
+        g = make_grid(-1, 1, 3)
+        unit = build_adder([(g, 1, 1.0)], g, name="a")
+        with pytest.raises(ValueError, match="^wiring source 'a' names both"):
+            export_netlist([unit], {"a": g}, [[("a", 0)]])
 
 
 class TestSerialization:
