@@ -48,7 +48,6 @@ different tables.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -58,8 +57,8 @@ import numpy as np
 
 from .grids import ValueGrid, bin_rows, check_grid, encode, make_grid, nan_input
 from .netlist import Netlist, export_netlist, neuron_columns
-from .reference import PidGains
-from .units import MODE_FLOOR, MODE_NEAREST, WEIGHT_MAX, build_adder
+from .reference import PidGains, check_pipeline
+from .units import WEIGHT_MAX, build_adder
 
 __all__ = [
     "GridSpec",
@@ -143,15 +142,7 @@ class NpidConfig:
     def validate(self) -> None:
         """Raise ValueError, naming the field, for a value no build can use.
         Construction runs it, so every config in hand has passed it."""
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay!r}")
-        if self.mode not in (MODE_FLOOR, MODE_NEAREST):
-            raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
-                             f"got {self.mode!r}")
-        if not isinstance(self.quantized, bool):
-            raise ValueError(f"quantized must be a bool, got {self.quantized!r}")
+        check_pipeline(self.dt, self.decay, self.mode, self.quantized)
         for name in GRID_FIELDS:
             spec = getattr(self, name)
             if spec is not None:  # a None integral grid is sized on build

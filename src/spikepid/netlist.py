@@ -16,10 +16,12 @@ per column, named "neurons.id", ..., "synapses.delay", and "meta": the
 meta dict plus "version" as a JSON string in a 0-d unicode array.  save
 writes exactly the path it is given; the zip entries carry zip's fixed
 1980 timestamp, so equal netlists give equal bytes.  load reads with
-allow_pickle=False, accepts version 3 only and rejects any array but
-meta and the seven columns.  Netlist.validate is the one column check;
-export and load each run it once.  export_netlist writes each synapse
-column once, in its file dtype, each unit into its own slice.
+allow_pickle=False, accepts version 3 only, rejects any array but meta
+and the seven columns, and checks the meta against _META_KEYS.
+Netlist.validate is the one statement of a valid netlist, each column
+rule a closed range decided by whole-column reductions; export, load and
+NetlistRuntime each run it.  export_netlist writes each synapse column
+once, in its file dtype, each unit into its own slice.
 
 NetlistRuntime re-evaluates a netlist from the graph alone (levels from
 zero-delay depth, input and reduce neurons by their place in the layer),
@@ -39,11 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import LAYER_INPUT, LAYER_REDUCE, WEIGHT_MAX, WEIGHT_MIN
+from .units import (LAYER_INPUT, LAYER_REDUCE, MODE_FLOOR, MODE_NEAREST, WEIGHT_MAX,
+                    WEIGHT_MIN)
 
 __all__ = ["Netlist", "export_netlist", "NetlistRuntime"]
 
 FORMAT_VERSION = 3
+# The meta keys of a version-3 file beside "version", each with its JSON
+# type: what load checks them against.
+_META_KEYS = {"scale": ("an object", dict), "grids": ("an object", dict),
+             "mode": ("a string", str), "quantized": ("true or false", bool),
+             "unit_outputs": ("an object", dict)}
 
 
 class _Columns:
@@ -94,12 +102,13 @@ class Netlist:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check the columns: one-dimensional arrays of the right kind and
-        of equal length within each table, finite weights and thresholds,
-        integer weights even and in [-256, 254] (criterion 4), unique ids,
-        endpoints in range, delays 0 or 1.  Each rejection is a ValueError
-        naming the field (and the first bad row of a weight or
-        threshold)."""
+        """Check every rule of a valid netlist: columns 1-d, of their kind
+        and of equal length per table; each column in its closed range
+        below, by whole-column reductions; unique ids; and meta["grids"]
+        and meta["unit_outputs"] (absent: {}) objects of grid objects with
+        an integer n >= 1 whose sizes add up to the input and the reduce
+        neurons.  A rejection is a ValueError naming the field, with a
+        column's first bad row or a meta key's entry."""
         for table in (self.neurons, self.synapses):
             for (name, col), kinds in zip(vars(table).items(), table.kinds):
                 if col.ndim != 1 or (col.size and col.dtype.kind not in kinds):
@@ -110,32 +119,38 @@ class Netlist:
                 if k != rows:
                     raise ValueError(f"{table.section}.{name} has {k} entries, "
                                      f"{table.section}.{first} has {rows}")
-        for table, name in ((self.neurons, "threshold"), (self.synapses, "weight")):
+        n, big = len(self.neurons), np.finfo(np.float64).max
+        finite = -big, big, False, "a finite number"  # [lo, hi], even, what is good
+        index = 0, n - 1, False, f"a neuron index in [0, {n})"
+        quantized = (WEIGHT_MIN, WEIGHT_MAX, True,
+                     f"an even integer in [{WEIGHT_MIN}, {WEIGHT_MAX}]")
+        for table, name, (lo, hi, even, what) in (
+                (self.neurons, "threshold", finite),
+                (self.synapses, "weight",
+                 finite if self.synapses.weight.dtype.kind == "f" else quantized),
+                (self.synapses, "src", index), (self.synapses, "dst", index),
+                (self.synapses, "delay", (0, 1, False, "0 or 1"))):
             col = getattr(table, name)
-            if col.dtype.kind == "f" and not np.isfinite(col).all():
-                k = int(np.argmin(np.isfinite(col)))
-                raise ValueError(f"{table.section}.{name} row {k} is {col[k]}, "
-                                 "not a finite number")
-        weight = self.synapses.weight
-        if weight.dtype.kind in "iu":
-            bad = (weight < WEIGHT_MIN) | (weight > WEIGHT_MAX) | ((weight & 1) != 0)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(f"synapses.weight row {k} is {weight[k]}, not an even "
-                                 f"integer in [{WEIGHT_MIN}, {WEIGHT_MAX}]")
-        n = len(self.neurons)
+            if col.size and not (lo <= col.min() and col.max() <= hi  # False for a NaN
+                                 and not (even and np.bitwise_or.reduce(col) & 1)):
+                # Only now a full-length mask, to name the first bad row.
+                k = int(np.argmax(~((col >= lo) & (col <= hi)) | (even and (col & 1) != 0)))
+                raise ValueError(f"{table.section}.{name} row {k} is {col[k]}, not {what}")
         if len(set(self.neurons.id.tolist())) != n:
             raise ValueError("neurons.id has duplicate ids")
-        for name in ("src", "dst"):
-            col = getattr(self.synapses, name)
-            bad = col[(col < 0) | (col >= n)]
-            if bad.size:
-                raise ValueError(f"synapses.{name} entry {bad[0]} is not a neuron "
-                                 f"index in [0, {n})")
-        delay = self.synapses.delay
-        bad = delay[(delay != 0) & (delay != 1)]
-        if bad.size:
-            raise ValueError(f"synapses.delay must be 0 or 1, got {bad[0]}")
+        for key, layer in (("grids", LAYER_INPUT), ("unit_outputs", LAYER_REDUCE)):
+            grids = self.meta.get(key, {})
+            if not isinstance(grids, dict):
+                raise ValueError(f"meta.{key} must be an object, got {grids!r}")
+            for name, grid in grids.items():
+                size = grid.get("n") if isinstance(grid, dict) else None
+                if type(size) is not int or size < 1:
+                    raise ValueError(f"meta.{key}.{name} must be an object whose n "
+                                     f"is an integer >= 1, got {grid!r}")
+            bins, mine = sum(g["n"] for g in grids.values()), np.sum(self.neurons.layer == layer)
+            if bins != mine:
+                raise ValueError(f"meta.{key} has {bins} bins but the netlist has "
+                                 f"{mine} {layer} neurons")
 
     def save(self, path) -> None:
         """Write the version-3 file (see the module docstring) to exactly
@@ -149,7 +164,11 @@ class Netlist:
     @classmethod
     def load(cls, path) -> "Netlist":
         """Read and validate a version-3 file; each rejection is a
-        ValueError naming the field."""
+        ValueError naming the field.  Beyond validate, the meta must have
+        exactly the keys of _META_KEYS (and "version"), each of its JSON
+        type, mode must be floor or nearest, and quantized must say
+        whether the weights are integers (a file of no synapses is
+        exempt)."""
         with open(path, "rb") as f:
             if f.read(4) != b"PK\x03\x04":  # not a zip: a version-2 JSON file, say
                 raise ValueError(f"meta.version must be {FORMAT_VERSION}, "
@@ -169,6 +188,18 @@ class Netlist:
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"meta.version must be {FORMAT_VERSION}, got {version!r}")
+        unknown = sorted(set(meta) - {"version", *_META_KEYS})
+        if unknown:
+            raise ValueError(f"meta.{unknown[0]} is not a key of a version-{FORMAT_VERSION} "
+                             "netlist")
+        for key, (kind, json_type) in _META_KEYS.items():
+            if key not in meta:
+                raise ValueError(f"meta.{key} is missing")
+            if not isinstance(meta[key], json_type):
+                raise ValueError(f"meta.{key} must be {kind}, got {meta[key]!r}")
+        if meta["mode"] not in (MODE_FLOOR, MODE_NEAREST):
+            raise ValueError(f"meta.mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
+                             f"got {meta['mode']!r}")
         known = {f"{table.section}.{name}" for table in (Neurons, Synapses)
                  for name in table.Row._fields}
         unknown = sorted(set(arrays) - known)
@@ -183,6 +214,10 @@ class Netlist:
         except KeyError as err:
             raise ValueError(f"{err.args[0]} is missing") from None
         nl.validate()
+        weight = nl.synapses.weight
+        if len(weight) and (weight.dtype.kind in "iu") != meta["quantized"]:
+            raise ValueError(f"meta.quantized is {meta['quantized']} but synapses.weight "
+                             f"is {weight.dtype}")
         return nl
 
 
@@ -201,7 +236,8 @@ def export_netlist(units, inputs, wiring) -> Netlist:
     inputs: dict name -> ValueGrid.
     wiring: per unit, one (source, delay) pair per input port, where
     source names an input population (a key of inputs) or else a unit,
-    whose reduce layer it reads.  A name that is both raises ValueError.
+    whose reduce layer it reads.  A name that is both, or neither,
+    raises ValueError.
 
     Each synapse column is allocated once, in its file dtype, from the
     units' synapse_count, and each unit's synapse_columns writes its rows
@@ -220,18 +256,23 @@ def export_netlist(units, inputs, wiring) -> Netlist:
                                 + [u.neuron_count for u in units], initial=0)))
 
     # Weights are int16 only when every unit is quantized, so a netlist
-    # of no units is typed too.
+    # of no units is typed too; meta.quantized, which load holds to the
+    # weights' kind, is false for it.
     ends = list(accumulate((u.synapse_count for u in units), initial=0))
-    weight_type = np.int16 if all(u.quantized for u in units) else np.float64
+    quantized = all(u.quantized for u in units)
+    weight_type = np.int16 if quantized else np.float64
     columns = [np.empty(ends[-1], t) for t in (np.int32, np.int32, weight_type, np.int8)]
     for u, ports, lo, hi in zip(units, wiring, ends, ends[1:]):
         sources, delays = [], []
         for p, (src_name, delay) in enumerate(ports):
             if src_name in inputs:
                 grid, start = inputs[src_name], first[src_name]
-            else:  # the source unit's reduce layer
+            elif src_name in unit_by_name:  # the source unit's reduce layer
                 v = unit_by_name[src_name]
                 grid, start = v.output, first[src_name] + v.pos_count + v.neg_count
+            else:
+                raise ValueError(f"port {p} of unit {u.name!r} reads {src_name!r}, "
+                                 "which names no input population and no unit")
             if grid.n != u.inputs[p].grid.n:
                 raise ValueError(
                     f"port {p} of unit {u.name!r} expects {u.inputs[p].grid.n} "
@@ -246,7 +287,7 @@ def export_netlist(units, inputs, wiring) -> Netlist:
         "scale": {u.name: u.scale for u in units},
         "grids": {name: g.to_dict() for name, g in inputs.items()},
         "mode": units[0].mode if units else "nearest",
-        "quantized": any(u.quantized for u in units),
+        "quantized": quantized and bool(units),
         "unit_outputs": {u.name: u.output.to_dict() for u in units},
     }
     nl = Netlist(neurons=neuron_columns(units, inputs),
@@ -283,23 +324,12 @@ def _broadcast(row, col, rows: int, neurons: int, weight):
 
 
 def _owned(meta: dict, key: str, layers, layer: str) -> dict:
-    """{name: neuron indices} for the grids of meta[key], each owning the
-    next n neurons of the layer in file order.  Raises ValueError naming
-    meta.key, or meta.key.<name>, unless meta[key] is an object of grid
-    objects, each with an integer n >= 1, whose sizes add up to the
-    layer's neurons."""
+    """{name: neuron indices} for the grids of meta[key] (see
+    Netlist.validate), each owning the next n neurons of the layer in
+    file order."""
     grids = meta.get(key, {})
-    if not isinstance(grids, dict):
-        raise ValueError(f"meta.{key} must be an object, got {grids!r}")
-    sizes = [grid.get("n") if isinstance(grid, dict) else None for grid in grids.values()]
-    for name, size in zip(grids, sizes):
-        if type(size) is not int or size < 1:
-            raise ValueError(f"meta.{key}.{name} must be an object whose n "
-                             f"is an integer >= 1, got {grids[name]!r}")
+    sizes = [grid["n"] for grid in grids.values()]
     mine = np.flatnonzero(layers == layer)
-    if sum(sizes) != len(mine):
-        raise ValueError(f"meta.{key} has {sum(sizes)} bins but the netlist has "
-                         f"{len(mine)} {layer} neurons")
     return dict(zip(grids, np.split(mine, np.cumsum(sizes, dtype=np.intp)[:-1])))
 
 
@@ -329,22 +359,17 @@ class NetlistRuntime:
     sum of its fired in-edges, bit for bit up to the sign of a zero sum,
     which no threshold compare sees.
 
-    The netlist's columns are taken as they are (validated on export or
-    load); only the endpoint and delay arrays are bounds-checked here.
-    Construction raises ValueError, naming the neuron, for a zero-delay
-    cycle and for a source that feeds one neuron twice with the same
-    delay, and, naming the key, unless meta["grids"] and
-    meta["unit_outputs"] are objects of grid objects whose sizes add up
-    to the input and the reduce neurons.
+    Construction runs Netlist.validate, so it refuses what export and
+    load refuse, by the same message.  Beyond that it checks only what
+    the graph alone shows: it raises ValueError, naming the neuron, for
+    a zero-delay cycle and for a source that feeds one neuron twice with
+    the same delay.
     """
 
     def __init__(self, netlist: Netlist):
+        netlist.validate()
         neurons, synapses = netlist.neurons, netlist.synapses
         n, layer = len(neurons), neurons.layer
-        for name, hi in (("src", n), ("dst", n), ("delay", 2)):
-            col = getattr(synapses, name)
-            if col.size and not 0 <= col.min() <= col.max() < hi:
-                raise ValueError(f"synapses.{name} has entries outside [0, {hi})")
         src = synapses.src.astype(np.int32)  # a copy: delay-1 sources move by n below
         dst, delayed = synapses.dst, synapses.delay == 1
         threshold = np.asarray(neurons.threshold, dtype=np.float64)

@@ -43,6 +43,20 @@ __all__ = [
 ]
 
 
+def check_pipeline(dt: float, decay: float, mode: str, quantized: bool) -> None:
+    """Raise ValueError, naming the parameter, unless dt is finite and
+    positive, decay lies in (0, 1], mode is floor or nearest and
+    quantized is a bool: the rules of NpidConfig and PidOracle alike."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not 0 < decay <= 1:
+        raise ValueError(f"decay must lie in (0, 1], got {decay!r}")
+    if mode not in (MODE_FLOOR, MODE_NEAREST):
+        raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, got {mode!r}")
+    if not isinstance(quantized, bool):
+        raise ValueError(f"quantized must be a bool, got {quantized!r}")
+
+
 @dataclass(frozen=True)
 class PidGains:
     """Proportional gain and integral/derivative time constants."""
@@ -221,15 +235,7 @@ class PidOracle:
 
     def __init__(self, grids, gains: PidGains, dt: float, lam: float = 1.0,
                  mode: str = "nearest", quantized: bool = False):
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {dt!r}")
-        if not 0 < lam <= 1:
-            raise ValueError(f"decay must lie in (0, 1], got {lam!r}")
-        if mode not in (MODE_FLOOR, MODE_NEAREST):
-            raise ValueError(f"mode must be {MODE_FLOOR!r} or {MODE_NEAREST!r}, "
-                             f"got {mode!r}")
-        if not isinstance(quantized, bool):
-            raise ValueError(f"quantized must be a bool, got {quantized!r}")
+        check_pipeline(dt, lam, mode, quantized)
         self.grids = grids
         self.gains = gains
         self.dt = dt
