@@ -27,14 +27,19 @@ NetlistRuntime re-evaluates a netlist from the graph alone (levels from
 zero-delay depth, input and reduce neurons by their place in the layer),
 which gives an independent check that the exported wiring reproduces the
 units' behavior bit-exactly.  Its docstring gives the two kernels that
-replay a level: one sum per broadcast level, or synapse by synapse.  It
-reads a level's synapses as a slice of the columns when they form one
-run, as export writes every level, and keeps no view of them.
+replay a level.  A broadcast level, with the level fed only by it, is
+one firing table built at init and read at the class of the level's one
+sum, so each exported unit is one lookup; any other level is replayed
+synapse by synapse.  It reads a level's synapses as a slice of the
+columns when they form one run, as export writes every level, and keeps
+no view of them.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
 from dataclasses import dataclass, field
@@ -297,10 +302,9 @@ def export_netlist(units, inputs, wiring) -> Netlist:
 
 
 def _run(index):
-    """A strictly ascending index array as a slice when it is one
-    unbroken run (numpy reads and writes a slice faster), else the array
-    itself."""
-    if len(index) and index[-1] - index[0] == len(index) - 1:
+    """An index array as a slice when it is one ascending unbroken run
+    (numpy reads and writes a slice faster), else the array itself."""
+    if len(index) and (np.diff(index) == 1).all():
         return slice(int(index[0]), int(index[-1]) + 1)
     return index
 
@@ -321,6 +325,40 @@ def _broadcast(row, col, rows: int, neurons: int, weight):
     if not (plus | minus).all():
         return None
     return order[0], w[0].copy(), np.where(plus, 1.0, -1.0)  # no view of w kept
+
+
+def _synapse_kernel(fired, weight, col, threshold):
+    """The per-synapse kernel over a batch of firing rows: fired[b, k]
+    is whether the k-th synapse of a level, in file order, has its
+    source firing in row b, and weight[k] and col[k] are its weight and
+    its neuron's position in the level.  Returns the level's firing per
+    row, [B, neurons].  np.bincount adds in array order from 0.0, so each
+    neuron adds its fired in-edges in file order."""
+    k = len(threshold)
+    key = (np.arange(len(fired))[:, None] * k + col)[fired]
+    s = np.bincount(key, weights=np.broadcast_to(weight, fired.shape)[fired],
+                    minlength=len(fired) * k)
+    return s.reshape(-1, k) >= threshold
+
+
+def _table(head, then=None):
+    """The replay of a broadcast level (see NetlistRuntime), head =
+    (nodes, threshold, rows, weight, sign), as (nodes, rows, weight,
+    change points, firing table).  then, if given, is (nodes, at,
+    weight, col, threshold) of the level after it, whose every synapse
+    comes at delay 0 from head, at[k] the position in head of the k-th
+    synapse's source: its firing on each row, by _synapse_kernel, joins
+    the table."""
+    nodes, threshold, rows, weight, sign = head
+    # sorted, not np.sort, whose SIMD path can rewrite the sign of a zero.
+    points = sorted(np.where(sign > 0, threshold, np.nextafter(-threshold, np.inf)).tolist())
+    rep = np.array([math.nextafter(points[0], -math.inf), *points])
+    table = sign * rep[:, None] >= threshold
+    if then is not None:
+        more, at, *kernel = then
+        nodes = np.concatenate([nodes, more])
+        table = np.concatenate([table, _synapse_kernel(table[:, at], *kernel)], axis=1)
+    return _run(nodes), _run(rows), weight, points, table
 
 
 def _owned(meta: dict, key: str, layers, layer: str) -> dict:
@@ -351,13 +389,29 @@ class NetlistRuntime:
     synapses: each neuron takes every row once, all in one file order,
     with weights equal to one weight per row times the neuron's sign.  A
     tick adds the fired rows' weights in that order from 0.0 into one sum
-    s, in a Python loop (numpy sums 8 or more terms pairwise), and fires
-    each neuron at sign * s >= threshold: negation commutes with
+    s, in a Python loop (numpy sums 8 or more terms pairwise), and each
+    neuron fires at sign * s >= threshold: negation commutes with
     rounding.  Every other level is its synapses in file order, and a
     tick adds the fired ones per neuron with np.bincount, which adds in
-    array order from 0.0.  Either way each neuron's sum is the file-order
-    sum of its fired in-edges, bit for bit up to the sign of a zero sum,
-    which no threshold compare sees.
+    array order from 0.0 (_synapse_kernel).  Either way each neuron's sum
+    is the file-order sum of its fired in-edges, bit for bit up to the
+    sign of a zero sum, which no threshold compare sees.
+
+    So a broadcast level's firing is a step function of s.  A neuron of
+    sign +1 changes at its threshold t, one of sign -1 at nextafter(-t,
+    inf), since -s >= t is s < nextafter(-t, inf); with these points
+    sorted, bisect_right(points, s) is the class of s, and every compare
+    is constant within a class.  Init evaluates the compares once per
+    class, on a representative (just below the first point, then each
+    point), into a firing table, and a tick writes its class's row.  A
+    sum of finite weights from 0.0 is never NaN, since one that overflows
+    to +-inf stays there, and +-inf falls in an end class.  The level
+    after a broadcast level joins its table when every synapse into it
+    comes at delay 0 from the broadcast level's neurons, as each unit's
+    reduce layer does: init evaluates it on each class's row with
+    _synapse_kernel.  So a tick replays an exported unit with one sum,
+    one bisect and one row, written as one slice, of a table of
+    (aggregate neurons + 1) x (the unit's neurons) bools.
 
     Construction runs Netlist.validate, so it refuses what export and
     load refuse, by the same message.  Beyond that it checks only what
@@ -404,6 +458,7 @@ class NetlistRuntime:
         self._fan_out = np.zeros(2 * n, dtype=np.int64)
         slot = np.zeros(2 * n, dtype=np.int32)  # a position in the level's rows or neurons
         self._levels = []
+        head = None  # a broadcast level, until the next one shows whether it joins it
         for depth in np.unique(level[level >= 0]):
             nodes = np.flatnonzero(level == depth)
             # Its synapses, in file order: a slice when they form one run.
@@ -418,21 +473,32 @@ class NetlistRuntime:
             self._fan_out[sources] += np.bincount(row, minlength=len(sources))
             weight = np.asarray(synapses.weight[mine], dtype=np.float64)
             kernel = _broadcast(row, col, len(sources), len(nodes), weight)
+            if kernel is None:
+                cells = np.sort(col.astype(np.int64) * len(sources) + row)  # (neuron, row)
+                twice = cells[1:][cells[1:] == cells[:-1]]
+                if twice.size:
+                    c, r = divmod(int(twice[0]), len(sources))
+                    raise ValueError(f"neuron {str(neurons.id[nodes[c]])!r} has two synapses "
+                                     f"from {str(neurons.id[sources[r] % n])!r} with delay "
+                                     f"{sources[r] // n}")
+            if head is not None and feeds[head[0]].sum() == len(sources):
+                # Every source is a neuron of head, read at delay 0.
+                self._levels.append(_table(head, (nodes, np.searchsorted(head[0], src[mine]),
+                                                  weight, col, threshold[nodes])))
+                head = None
+                continue
+            if head is not None:
+                self._levels.append(_table(head))
+                head = None
             if kernel is not None:  # the rows in their shared order, a weight each
                 order, weight, sign = kernel
-                self._levels.append((_run(nodes), threshold[nodes], sources[order],
-                                     weight, sign, None))
+                head = nodes, threshold[nodes], sources[order], weight, sign
                 continue
-            cells = np.sort(col.astype(np.int64) * len(sources) + row)  # (neuron, row)
-            twice = cells[1:][cells[1:] == cells[:-1]]
-            if twice.size:
-                c, r = divmod(int(twice[0]), len(sources))
-                raise ValueError(f"neuron {str(neurons.id[nodes[c]])!r} has two synapses "
-                                 f"from {str(neurons.id[sources[r] % n])!r} with delay "
-                                 f"{sources[r] // n}")
-            self._levels.append((_run(nodes), threshold[nodes], src[mine].astype(np.intp),
-                                 weight.copy(), None,  # no view of the netlist kept
-                                 col.astype(np.intp)))
+            self._levels.append((_run(nodes), src[mine].astype(np.intp),
+                                 weight.copy(),  # no view of the netlist kept
+                                 None, (col.astype(np.intp), threshold[nodes])))
+        if head is not None:
+            self._levels.append(_table(head))
 
         # Every unit's reduce neurons, unit after unit, so that one read
         # finds all winners; per position, its unit and its bin there.
@@ -448,6 +514,13 @@ class NetlistRuntime:
         """Synapses whose source fired on the last tick (delay 0) or the
         tick before (delay 1): the replay's synaptic-event count."""
         return int(self._both @ self._fan_out)
+
+    @property
+    def fired(self) -> np.ndarray:
+        """The last tick's firing, one bool per neuron in netlist order
+        (all False before the first tick and after reset): a copy, so
+        the next tick leaves it as it is."""
+        return self._now.copy()
 
     def reset(self) -> None:
         self._fired[:] = False
@@ -472,16 +545,15 @@ class NetlistRuntime:
         self._last[:] = now
         now.fill(False)
         now.put(hot, True)
-        for nodes, threshold, sources, weight, sign, col in self._levels:
+        for nodes, sources, weight, points, table in self._levels:
             fired = self._both[sources]
-            if col is None:  # broadcast: one file-order sum, times each neuron's sign
+            if points is not None:  # one file-order sum; its class's row
                 s = 0.0
                 for w in weight[fired].tolist():
                     s += w
-                now[nodes] = sign * s >= threshold
-            else:  # each synapse's neuron: the fired weights, added in file order
-                now[nodes] = np.bincount(col[fired], weights=weight[fired],
-                                         minlength=len(threshold)) >= threshold
+                now[nodes] = table[bisect_right(points, s)]
+            else:  # synapse by synapse; table is (col, threshold)
+                now[nodes] = _synapse_kernel(fired[None], weight, *table)[0]
         hits = now[self._reduce].nonzero()[0].tolist()
         units = [self._unit_of[h] for h in hits]
         if units != self._one_each:

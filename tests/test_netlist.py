@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import json
+import math
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -574,6 +576,30 @@ class TestGraphRuntime:
         assert events == want
         assert min(want) > 0
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("n", [15, 151])
+    def test_fired_is_the_raster_row(self, n, quantized):
+        """fired holds every neuron's spike of the tick, not only the
+        winners: on each tick it equals that tick's row of the derived
+        raster, input neurons included."""
+        net = build_npid(default_config(n=n, decay=0.9, quantized=quantized))
+        nl = net.export_netlist()
+        rt = NetlistRuntime(nl)
+        assert not rt.fired.any()
+        net.record_raster(True)
+        rows = []
+        for x, s in cosim_inputs(net.config, 300, seed=9):
+            net.step(*x)
+            rt.step(s)
+            rows.append(rt.fired)
+        index = {nid: k for k, nid in enumerate(nl.neurons.id)}
+        spiked = np.zeros((300, len(index)), dtype=bool)
+        for t, nid, _ in net.fetch_trace().raster:
+            spiked[t, index[nid]] = True
+        assert np.array_equal(np.array(rows), spiked)
+        with pytest.raises(AttributeError):
+            rt.fired = spiked[0]
+
     @pytest.mark.parametrize("column, bad, quantized", [
         ("src", 17, False), ("dst", -1, False), ("delay", 2, False),
         ("weight", np.nan, False), ("weight", 3, True)])
@@ -662,7 +688,10 @@ class TestGraphRuntime:
                 kept.append(item)
             elif isinstance(item, (list, tuple, dict)):
                 todo.extend(item.values() if isinstance(item, dict) else item)
-        assert len(kept) > 20  # every level's arrays were found
+        # Every level's arrays were found: each unit's weight rows and
+        # table, beside the two-tick firing buffer.
+        assert sum(a.dtype == np.float64 for a in kept) == 3
+        assert sum(a.ndim == 2 for a in kept) == 3 + 1
         for name, col in vars(nl.synapses).items():
             assert not any(np.shares_memory(a, col) for a in kept), name
 
@@ -872,6 +901,114 @@ class TestRowOrder:
         with pytest.raises(ValueError, match=r"neuron 'adder\.agg_pos\[0\]' has two "
                                              r"synapses from 'a\[0\]' with delay 0"):
             NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 0)))
+
+
+def kernels(rt):
+    """How rt replays each of its level groups, in order: by a firing
+    table, or synapse by synapse."""
+    return ["table" if points is not None else "synapse"
+            for _, _, _, points, _ in rt._levels]
+
+
+def after_broadcast(extra):
+    """Two two-bin input populations.  h0 and h1 make a broadcast level,
+    each taking bin 1 of p0 with weight 1.0.  x and y make the level
+    after it: x takes, in file order, 1e16 from h0, 1.0 from extra and
+    -1e16 from h1, and y takes 1.0 from h0, so the level is not
+    broadcast.  extra is bin 1 of p1 ("input") or h0 of the tick before
+    ("delay").  Every threshold past the inputs is 0.5."""
+    ids = [f"p{i}[{b}]" for i in range(2) for b in (0, 1)] + ["h0", "h1", "x", "y"]
+    neurons = Neurons(ids, [LAYER_INPUT] * 4 + ["aggregate-pos"] * 4, [0] * 4 + [0.5] * 4)
+    edges = [(1, 4, 1.0, 0), (1, 5, 1.0, 0), (4, 6, 1e16, 0),
+             (3, 6, 1.0, 0) if extra == "input" else (4, 6, 1.0, 1), (5, 6, -1e16, 0),
+             (4, 7, 1.0, 0)]
+    grid = make_grid(0, 1, 2).to_dict()
+    return Netlist(neurons, Synapses(*map(list, zip(*edges))),
+                   {"grids": {"p0": grid, "p1": grid}, "unit_outputs": {}})
+
+
+class TestTables:
+    """A broadcast level, and the level after it when it reads only that
+    level at delay 0, replay from one firing table keyed by the class of
+    the broadcast level's sum."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("n", [15, 151])
+    def test_export_replays_each_unit_from_one_table(self, n, quantized):
+        """Three units, three tables, each written as the one slice of its
+        unit's neurons; the error unit's inputs are read as a slice."""
+        net = build_npid(default_config(n=n, quantized=quantized))
+        rt = NetlistRuntime(net.export_netlist())
+        assert kernels(rt) == ["table"] * 3
+        first = 3 * n  # target, measurement and derivative come first
+        for (nodes, *_), unit in zip(rt._levels, net.units):
+            assert nodes == slice(first, first + unit.neuron_count)
+            first = nodes.stop
+        assert rt._levels[0][1] == slice(0, 2 * n)
+
+    @pytest.mark.parametrize("n", [15, 63, 151])
+    def test_float_change_points_are_the_units_ladders(self, n):
+        """Each table's change points, taken from the graph alone, are its
+        unit's firing_class ladder: equal as floats, which is bit for bit
+        but for the sign of a zero (np.sort, which builds the ladder, may
+        rewrite it)."""
+        net = build_npid(default_config(n=n, distribution="quadratic"))
+        rt = NetlistRuntime(net.export_netlist())
+        for (_, _, _, points, _), unit in zip(rt._levels, net.units):
+            assert points == unit._ladder.tolist(), unit.name
+
+    @pytest.mark.parametrize("relay", [False, True])
+    @pytest.mark.parametrize("big", [sys.float_info.max, -sys.float_info.max])
+    def test_sum_that_overflows_fires_as_the_compare(self, big, relay):
+        """Fired weights that sum past the largest double give +-inf, which
+        bisects to an end class and fires as sign * s >= threshold does.
+        A file-order sum of finite weights never turns NaN: once it is
+        infinite, adding a finite weight keeps it so."""
+        weights = (big, big, -big)
+        sums = [file_order_sum(w for w, a in zip(weights, active) if a)
+                for active in itertools.product((0, 1), repeat=3)]
+        assert math.copysign(math.inf, big) in sums and not any(map(math.isnan, sums))
+        rt = NetlistRuntime(summing_netlist(range(3), weights, relay))
+        assert kernels(rt) == ["table"]
+        for active, s in zip(itertools.product((0, 1), repeat=3), sums):
+            assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {
+                "u": int(s >= 0.5)}, active
+
+    def test_group_whose_levels_interleave_writes_each_neuron(self):
+        """h0 and h1 make a broadcast level, and x and y the level after
+        it, reading h0 and h1, but the file interleaves the two levels:
+        the group's neurons span one run of indices out of order, and
+        each is written its own firing."""
+        ids = ["p0[0]", "p0[1]", "h0", "x", "h1", "y"]
+        neurons = Neurons(ids, [LAYER_INPUT] * 2 + ["aggregate-pos"] * 4,
+                          [0, 0, 0.5, 0.5, -0.5, 0.5])
+        edges = [(1, 2, 1.0, 0), (1, 4, -1.0, 0), (2, 3, 1.0, 0), (4, 5, 1.0, 0)]
+        rt = NetlistRuntime(Netlist(neurons, Synapses(*map(list, zip(*edges))), {
+            "grids": {"p0": make_grid(0, 1, 2).to_dict()}, "unit_outputs": {}}))
+        assert kernels(rt) == ["table"]
+        for b in (0, 1, 1, 0):
+            rt.step({"p0": b})
+            assert rt.fired[2:].tolist() == [b == 1, b == 1, b == 0, b == 0], b
+
+    @pytest.mark.parametrize("extra", ["input", "delay"])
+    def test_level_reading_more_than_a_broadcast_level_replays_per_synapse(self, extra):
+        """x reads the broadcast level and also an input neuron or a
+        delay-1 source, so its level does not join the table; it still
+        adds its fired in-edges in file order, which gives 0 where another
+        order gives 1."""
+        assert file_order_sum((1e16, 1.0, -1e16)) == 0.0
+        rt = NetlistRuntime(after_broadcast(extra))
+        assert kernels(rt) == ["table", "synapse"]
+        last, apart = False, False
+        for active in [*itertools.product((0, 1), repeat=2)] * 3:
+            assert rt.step({"p0": active[0], "p1": active[1]}) == {}
+            h = bool(active[0])
+            e = bool(active[1]) if extra == "input" else last
+            apart |= h and e
+            s = file_order_sum(w for w, a in ((1e16, h), (1.0, e), (-1e16, h)) if a)
+            assert rt.fired[4:].tolist() == [h, h, s >= 0.5, h], active
+            last = h
+        assert apart
 
 
 class TestReplayProperty:
