@@ -26,13 +26,17 @@ once, in its file dtype, each unit into its own slice.
 NetlistRuntime re-evaluates a netlist from the graph alone (levels from
 zero-delay depth, input and reduce neurons by their place in the layer),
 which gives an independent check that the exported wiring reproduces the
-units' behavior bit-exactly.  Its docstring gives the two kernels that
-replay a level.  A broadcast level, with the level fed only by it, is
-one firing table built at init and read at the class of the level's one
-sum, so each exported unit is one lookup; any other level is replayed
-synapse by synapse.  It reads a level's synapses as a slice of the
-columns when they form one run, as export writes every level, and keeps
-no view of them.
+units' behavior bit-exactly.  Its docstring gives the one kernel per
+kind of level and the two ways a graph ticks.  A broadcast level, with
+the level fed only by it, is one firing table built at init and read at
+the class of the level's one sum; any other level is replayed synapse by
+synapse.  A graph of such tables alone, each summing runs of one-hot
+populations, as every export is, ticks by winners: one weight per port,
+one bisect and each unit's winner per table, with its spikes built only
+when fired or events is read.  Any other graph ticks with a firing
+buffer.  The runtime reads a level's synapses as a slice of the columns
+when they form one run, as export writes every level, and keeps no view
+of them.
 """
 
 from __future__ import annotations
@@ -315,10 +319,15 @@ def _broadcast(row, col, rows: int, neurons: int, weight):
     row[k], col[k] and weight[k] are the row, the neuron and the weight
     of the level's k-th synapse in file order.  Weights compare with ==,
     so only a zero's sign may differ from the row's weight times the sign."""
-    if len(row) != neurons * rows or (np.bincount(col, minlength=neurons) != rows).any():
+    if len(row) != neurons * rows:
         return None
-    by = np.argsort(col.astype(np.min_scalar_type(neurons)), kind="stable")
-    order, w = row[by].reshape(neurons, rows), weight[by].reshape(neurons, rows)
+    if (col.reshape(rows, neurons) == np.arange(neurons)).all():  # row by row, as export writes
+        order, w = row.reshape(rows, neurons).T, weight.reshape(rows, neurons).T
+    elif (np.bincount(col, minlength=neurons) != rows).any():
+        return None
+    else:  # each neuron's synapses in file order: a stable sort by neuron
+        by = np.argsort(col.astype(np.min_scalar_type(neurons)), kind="stable")
+        order, w = row[by].reshape(neurons, rows), weight[by].reshape(neurons, rows)
     if (order != order[0]).any():
         return None
     plus, minus = (w == w[0]).all(axis=1), (w == -w[0]).all(axis=1)
@@ -371,6 +380,63 @@ def _owned(meta: dict, key: str, layers, layer: str) -> dict:
     return dict(zip(grids, np.split(mine, np.cumsum(sizes, dtype=np.intp)[:-1])))
 
 
+def _winner_plan(levels, inputs: list, units: list, n: int):
+    """How a graph ticks by winners (see NetlistRuntime), or None when
+    it does not.  levels is NetlistRuntime._levels; inputs and units list
+    the neurons, bin by bin, of each input population and each unit's
+    reduce layer, the one-hot owners.  A tick keeps one value per owner,
+    its hot bin or its winner: this tick's, then the last tick's, with
+    each group's units in one run.  Returns (plan, place), place[u] the
+    value of unit u and plan, per group, (points, ports, winners, at):
+    each port as (the value it reads, its weight per bin and then 0.0,
+    read for a port that fired nothing); per class, the winner of the
+    group's one unit, or the list of its units' winners, or None where a
+    unit has not exactly one; at, the value or the slice they fill."""
+    if any(points is None for *_, points, _ in levels):
+        return None
+    group, column = np.full(n, -1, np.intp), np.zeros(n, np.intp)
+    for g, (nodes, *_) in enumerate(levels):
+        mine = np.arange(n)[nodes]
+        group[mine], column[mine] = g, np.arange(len(mine))
+    homes = [group[reduce] for reduce in units]  # every neuron past the inputs has one
+    if any((home != home[0]).any() for home in homes):
+        return None  # a unit whose reduce layer spans two groups
+    rank = sorted(range(len(units)), key=lambda u: homes[u][0])
+    owners = [*inputs, *(units[u] for u in rank)]
+    k = len(owners)
+    key, bin_ = np.full(2 * n, -1, np.intp), np.zeros(2 * n, np.intp)
+    for o, mine in enumerate(owners):  # a delay-1 row is its neuron + n
+        key[mine], key[mine + n] = o, k + o
+        bin_[mine] = bin_[mine + n] = np.arange(len(mine))
+    plan, first = [], len(inputs)
+    for g, (_, rows, weight, points, table) in enumerate(levels):
+        rows = np.arange(2 * n)[rows]
+        owner = key[rows]
+        if (owner < 0).any():
+            return None  # a row that no one-hot population owns
+        starts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()][:len(rows)]
+        ports = []
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            o = int(owner[lo])
+            w = np.zeros(len(owners[o % k]) + 1)  # the last bin: a port that fired nothing
+            w[bin_[rows[lo:hi]]] = weight[lo:hi]
+            ports.append((o, w.tolist()))
+        last = first + sum(int(home[0]) == g for home in homes)
+        won, one = [], np.ones(len(table), bool)
+        for reduce in owners[first:last]:
+            hit = table[:, _run(column[reduce])]
+            won.append(hit.argmax(axis=1))
+            one &= np.count_nonzero(hit, axis=1) == 1
+        if last - first == 1:  # the unit's winner per class, into its value
+            at, winners = first, np.where(one, won[0], None).tolist()
+        else:  # the list of the units' winners per class, into their run of values
+            at, won = slice(first, last), np.reshape(won, (last - first, len(table))).T
+            winners = [w if ok else None for w, ok in zip(won.tolist(), one.tolist())]
+        plan.append((points, ports, winners, at))
+        first = last
+    return plan, [len(inputs) + rank.index(u) for u in range(len(units))]
+
+
 class NetlistRuntime:
     """Evaluates a netlist directly from its graph.
 
@@ -403,15 +469,34 @@ class NetlistRuntime:
     sorted, bisect_right(points, s) is the class of s, and every compare
     is constant within a class.  Init evaluates the compares once per
     class, on a representative (just below the first point, then each
-    point), into a firing table, and a tick writes its class's row.  A
-    sum of finite weights from 0.0 is never NaN, since one that overflows
-    to +-inf stays there, and +-inf falls in an end class.  The level
-    after a broadcast level joins its table when every synapse into it
-    comes at delay 0 from the broadcast level's neurons, as each unit's
-    reduce layer does: init evaluates it on each class's row with
-    _synapse_kernel.  So a tick replays an exported unit with one sum,
-    one bisect and one row, written as one slice, of a table of
-    (aggregate neurons + 1) x (the unit's neurons) bools.
+    point), into a firing table.  A sum of finite weights from 0.0 is
+    never NaN, since one that overflows to +-inf stays there, and +-inf
+    falls in an end class.  The level after a broadcast level joins its
+    table when every synapse into it comes at delay 0 from the broadcast
+    level's neurons, as each unit's reduce layer does: init evaluates it
+    on each class's row with _synapse_kernel.  A broadcast level and the
+    level that joins it make a group, whose firing is its table's row at
+    the class of its one sum.
+
+    A graph ticks one of two ways.  It ticks by winners when every level
+    is in a group, each group's rows split into ports, and each unit's
+    reduce neurons lie in one group, as in every export.  A port is a run
+    of rows, in the group's row order, of one one-hot population at one
+    delay: an input population, or a unit's reduce layer.  Such a port
+    fires at most one row, the population's hot bin or the unit's
+    winner, so a tick adds one weight per port in row order from 0.0,
+    bisects, and reads each unit's winner from its class: the adds of
+    the fired rows, bit for bit, but for a port whose bin has no row
+    there (or a delay-1 port after reset, which has fired nothing),
+    which adds 0.0 and so changes only the sign of a zero sum.  The tick
+    keeps the hot bins and each group's class, for this tick and the
+    last, beside the value (hot bin or winner) of each one-hot owner that
+    its ports read; fired and events build the firing when read.  A
+    tick that lands in a class where a unit has not exactly one winner
+    replays with a firing buffer rebuilt from that state, whose winner
+    check raises; so does the tick after it, which may read those spikes
+    at delay 1.  Any other graph ticks with the firing buffer alone:
+    level by level, each by its kernel, a group writing its table's row.
 
     Construction runs Netlist.validate, so it refuses what export and
     load refuse, by the same message.  Beyond that it checks only what
@@ -428,8 +513,8 @@ class NetlistRuntime:
         dst, delayed = synapses.dst, synapses.delay == 1
         threshold = np.asarray(neurons.threshold, dtype=np.float64)
         # The stimulus table: population -> the neuron of each of its bins.
-        self._inputs = {pop: bins.tolist() for pop, bins in
-                        _owned(netlist.meta, "grids", layer, LAYER_INPUT).items()}
+        inputs = _owned(netlist.meta, "grids", layer, LAYER_INPUT)
+        self._inputs = {pop: bins.tolist() for pop, bins in inputs.items()}
 
         # Kahn's algorithm, one frontier at a time, on the zero-delay graph.
         src0, dst0 = src[~delayed], dst[~delayed]
@@ -447,11 +532,9 @@ class NetlistRuntime:
                              f"{str(neurons.id[np.argmax(level < 0)])!r}")
         level[layer == LAYER_INPUT] = -1  # set by the stimuli, never evaluated
 
-        # Row 0 of the firing buffer is this tick, row 1 last tick; a
+        # Row 0 of a firing buffer is this tick, row 1 last tick; a
         # delay-1 synapse reads its source through the offset n.
-        self._fired = np.zeros((2, n), dtype=bool)
-        self._now, self._last = self._fired
-        self._both = self._fired.reshape(-1)
+        self._n = n
         src[delayed] += n
         into = level[dst]  # the level each synapse feeds
         # Synapses into evaluated neurons, per source: the events a spike makes.
@@ -508,52 +591,70 @@ class NetlistRuntime:
         self._unit_of = [u for u, bins in enumerate(units.values()) for _ in bins]
         self._bin_of = [b for bins in units.values() for b in range(len(bins))]
         self._one_each = list(range(len(units)))  # _unit_of of the hits of a good tick
+        self._plan, place = _winner_plan(
+            self._levels, list(inputs.values()), list(units.values()), n) or (None, ())
+        self._place = list(zip(self._unit_names, place))  # each unit's value
+        self.reset()
 
     @property
     def events(self) -> int:
         """Synapses whose source fired on the last tick (delay 0) or the
         tick before (delay 1): the replay's synaptic-event count."""
-        return int(self._both @ self._fan_out)
+        return int(self._state().reshape(-1) @ self._fan_out)
 
     @property
     def fired(self) -> np.ndarray:
         """The last tick's firing, one bool per neuron in netlist order
         (all False before the first tick and after reset): a copy, so
         the next tick leaves it as it is."""
-        return self._now.copy()
+        return self._state()[0].copy()
 
     def reset(self) -> None:
-        self._fired[:] = False
+        if self._plan is None:
+            self._fired = np.zeros((2, self._n), dtype=bool)
+        else:  # nothing has fired: -1 reads each port's last weight, 0.0
+            self._now = self._last = None
+            self._values = [-1] * (2 * len(self._inputs) + 2 * len(self._place))
 
-    def step(self, stimuli: dict) -> dict:
-        """One tick.  stimuli maps every input population of meta["grids"]
-        to its hot bin index.  Returns {unit name: winning reduce bin}.
-        Raises ValueError, before any state changes, for a stimulus naming
-        no input neuron or a population left out; AssertionError if a
-        reduce layer fails to pick a single winner."""
-        hot = []
-        for pop, b in stimuli.items():
-            bins = self._inputs.get(pop, ())
-            if (isinstance(b, bool) or not isinstance(b, (int, np.integer))
-                    or not 0 <= b < len(bins)):
-                raise ValueError(f"stimulus {pop!r} bin {b!r} names no input neuron")
-            hot.append(bins[b])
-        missing = [pop for pop in self._inputs if pop not in stimuli]
-        if missing:
-            raise ValueError(f"stimuli leave out the input populations {missing}")
-        now = self._now
-        self._last[:] = now
+    def _row(self, state) -> np.ndarray:
+        """The firing of a tick by winners from its kept (hot bins,
+        classes), or of no tick (None)."""
+        row = np.zeros(self._n, dtype=bool)
+        if state is not None:
+            bins, classes = state
+            row[[neurons[b] for neurons, b in zip(self._inputs.values(), bins)]] = True
+            for (nodes, *_, table), c in zip(self._levels, classes):
+                row[nodes] = table[c]
+        return row
+
+    def _state(self) -> np.ndarray:
+        """The firing buffer: the last tick's firing, then the one before."""
+        if self._plan is None:
+            return self._fired
+        return np.stack([self._row(self._now), self._row(self._last)])
+
+    def _tick(self, fired, bins) -> list:
+        """One tick on the firing buffer fired, level by level; returns
+        each group's class."""
+        now, both = fired[0], fired.reshape(-1)
+        fired[1] = now
         now.fill(False)
-        now.put(hot, True)
+        now.put([neurons[b] for neurons, b in zip(self._inputs.values(), bins)], True)
+        classes = []
         for nodes, sources, weight, points, table in self._levels:
-            fired = self._both[sources]
+            active = both[sources]
             if points is not None:  # one file-order sum; its class's row
                 s = 0.0
-                for w in weight[fired].tolist():
+                for w in weight[active].tolist():
                     s += w
-                now[nodes] = table[bisect_right(points, s)]
+                classes.append(bisect_right(points, s))
+                now[nodes] = table[classes[-1]]
             else:  # synapse by synapse; table is (col, threshold)
-                now[nodes] = _synapse_kernel(fired[None], weight, *table)[0]
+                now[nodes] = _synapse_kernel(active[None], weight, *table)[0]
+        return classes
+
+    def _winners(self, now) -> dict:
+        """{unit name: winning reduce bin} of the firing now."""
         hits = now[self._reduce].nonzero()[0].tolist()
         units = [self._unit_of[h] for h in hits]
         if units != self._one_each:
@@ -563,3 +664,51 @@ class NetlistRuntime:
                     raise AssertionError(f"unit {name!r} reduce produced {won} winners")
         bin_of = self._bin_of
         return {name: bin_of[h] for name, h in zip(self._unit_names, hits)}
+
+    def step(self, stimuli: dict) -> dict:
+        """One tick.  stimuli maps every input population of meta["grids"]
+        to its hot bin index.  Returns {unit name: winning reduce bin}.
+        Raises ValueError, before any state changes, for a stimulus naming
+        no input neuron or a population left out; AssertionError if a
+        reduce layer fails to pick a single winner."""
+        inputs = self._inputs
+        for pop, b in stimuli.items():
+            if ((type(b) is not int and (isinstance(b, bool)
+                                         or not isinstance(b, (int, np.integer))))
+                    or not 0 <= b < len(inputs.get(pop, ()))):
+                raise ValueError(f"stimulus {pop!r} bin {b!r} names no input neuron")
+        try:
+            bins = [stimuli[pop] for pop in inputs]
+        except KeyError:
+            missing = [pop for pop in inputs if pop not in stimuli]
+            raise ValueError(f"stimuli leave out the input populations {missing}") from None
+        if self._plan is None:
+            self._tick(self._fired, bins)
+            return self._winners(self._fired[0])
+        values = self._values
+        if values is not None:  # by winners
+            half = len(values) // 2
+            values[half:] = values[:half]
+            values[:len(bins)] = bins
+            classes = []
+            for points, ports, winners, at in self._plan:
+                s = 0.0
+                for i, w in ports:
+                    s += w[values[i]]
+                c = bisect_right(points, s)
+                if winners[c] is None:
+                    break
+                values[at] = winners[c]
+                classes.append(c)
+            else:
+                self._last, self._now = self._now, (bins, classes)
+                return {name: values[i] for name, i in self._place}
+        # Not exactly one winner, on this tick or the last: the firing buffer.
+        fired = self._state()
+        state = bins, self._tick(fired, bins)
+        self._last, self._now = self._now, state
+        self._values = None  # until the tick shows one winner per unit
+        won = self._winners(fired[0])
+        self._values = [*bins, *(won[name] for name, _ in sorted(
+            self._place, key=lambda unit: unit[1]))] * 2
+        return won

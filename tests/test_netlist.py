@@ -12,14 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from spikepid.controller import build_npid, default_config
 from spikepid.grids import encode, make_grid
-from spikepid.harness import cosim_inputs, cosimulate
+from spikepid.harness import cosim_inputs, cosimulate, step_experiment
 from spikepid.netlist import Netlist, NetlistRuntime, Neurons, Synapses, export_netlist
 from spikepid.reference import round_to_grid
 from spikepid.units import LAYER_INPUT, build_adder, eval_unit, one_hot
+
+import literal
 
 
 AB_WIRING = [[("a", 0), ("b", 0)]]  # one unit adding inputs a and b
@@ -436,6 +438,7 @@ class TestSumOrderPin:
         assert {file_order_sum(p) >= 0.5
                 for p in itertools.permutations(weights)} == {False, True}
         rt = NetlistRuntime(summing_netlist(sources, weights, relay=False))
+        assert ticks(rt) == "winners"  # its ports in row order, not population order
         for active in itertools.product((0, 1), repeat=3):
             s = file_order_sum(w for w, a in zip(weights, active) if a)
             stim = {f"p{i}": active[sources.index(i)] for i in range(3)}
@@ -450,6 +453,7 @@ class TestSumOrderPin:
         assert file_order_sum(weights) == 0.0
         assert float(np.sum(weights)) == 8.0
         rt = NetlistRuntime(summing_netlist(sources, weights, relay=True))
+        assert ticks(rt) == "winners"
         rng = np.random.default_rng(5)
         for active in [[1] * 11, [1] * 10 + [0], [0] + [1] * 10,
                        *rng.integers(0, 2, (20, 11)).tolist()]:
@@ -689,9 +693,9 @@ class TestGraphRuntime:
             elif isinstance(item, (list, tuple, dict)):
                 todo.extend(item.values() if isinstance(item, dict) else item)
         # Every level's arrays were found: each unit's weight rows and
-        # table, beside the two-tick firing buffer.
+        # table.  A runtime that ticks by winners keeps no firing buffer.
         assert sum(a.dtype == np.float64 for a in kept) == 3
-        assert sum(a.ndim == 2 for a in kept) == 3 + 1
+        assert sum(a.ndim == 2 for a in kept) == 3
         for name, col in vars(nl.synapses).items():
             assert not any(np.shares_memory(a, col) for a in kept), name
 
@@ -727,6 +731,7 @@ class TestGraphRuntime:
                 rt.step({"a": 0, "b": 0, pop: b})
         fresh = NetlistRuntime(nl)
         fresh.step({"a": 2, "b": 2})
+        assert np.array_equal(rt.fired, fresh.fired)
         assert rt.step({"a": 0, "b": 1}) == fresh.step({"a": 0, "b": 1})
         assert rt.step({"a": np.int64(2), "b": 1}) == fresh.step({"a": 2, "b": 1})
         assert rt.step({"a": 1, "b": 0}) == fresh.step({"a": 1, "b": 0})
@@ -746,6 +751,7 @@ class TestGraphRuntime:
         with pytest.raises(ValueError, match="leave out") as err:
             rt.step(partial)
         assert all(repr(pop) in str(err.value) for pop in left_out)
+        assert np.array_equal(rt.fired, fresh.fired)
         assert rt.step(after) == fresh.step(after)
         assert rt.events == fresh.events
 
@@ -803,6 +809,7 @@ def check_rotated_units(weights, k):
     assert len({file_order_sum(weights[i] for i in order) >= 0.5
                 for order in orders}) == 2
     rt = NetlistRuntime(summing_units(weights, orders))
+    assert kernels(rt) == ["synapse"] and ticks(rt) == "buffer"
     for active in itertools.product((0, 1), repeat=m):
         want = {f"u{j}": int(file_order_sum(weights[i] for i in order if active[i]) >= 0.5)
                 for j, order in enumerate(orders)}
@@ -831,7 +838,8 @@ class TestRowOrder:
     """A level is broadcast only if its neurons take the same rows in one
     shared file order, each with the weights of the first times its sign.
     Any other level is replayed synapse by synapse, and each neuron still
-    adds its active in-edges in file order."""
+    adds its active in-edges in file order; a graph with such a level
+    ticks with the firing buffer."""
 
     def test_out_of_order_sum_past_2_53_replays_in_file_order(self):
         """A decoy neuron first in the file takes p1 and p2 only, so the
@@ -846,6 +854,7 @@ class TestRowOrder:
                              np.append(nl.neurons.threshold, 0)), nl.synapses, nl.meta)
         nl = with_synapses(nl, (3, decoy, 1.0, 0), (5, decoy, 1.0, 0), first=True)
         rt = NetlistRuntime(nl)
+        assert kernels(rt) == ["synapse"] and ticks(rt) == "buffer"
         for active in itertools.product((0, 1), repeat=3):
             s = file_order_sum(w for w, a in zip(weights, active) if a)
             assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {
@@ -855,7 +864,8 @@ class TestRowOrder:
     def test_conflicting_source_orders_with_integer_weights_build(self, k):
         """Neurons that take their sources in conflicting orders make a
         level that is not broadcast: it builds, and replays per synapse."""
-        NetlistRuntime(conflicting_orders(k, 1.0))
+        rt = NetlistRuntime(conflicting_orders(k, 1.0))
+        assert kernels(rt) == ["synapse"] and ticks(rt) == "buffer"
 
     @pytest.mark.parametrize("in_edges", [3, 11])
     def test_integer_sums_past_2_53_replay_in_file_order(self, in_edges):
@@ -884,6 +894,7 @@ class TestRowOrder:
               "missing": [(0, -weights[0]), (2, -weights[2])],
               "order": [(0, -weights[0]), (2, -weights[1]), (1, -weights[2])]}[miss]
         rt = NetlistRuntime(relayed_pair(weights, x1))
+        assert kernels(rt) == ["synapse", "synapse"] and ticks(rt) == "buffer"
         apart = False
         for active in itertools.product((0, 1), repeat=3):
             s0 = file_order_sum(w for w, a in zip(weights, active) if a)
@@ -897,7 +908,8 @@ class TestRowOrder:
         _, nl = fig2_setup()
         ids = nl.neurons.id.tolist()
         a0, pos0 = ids.index("a[0]"), ids.index("adder.agg_pos[0]")
-        NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 1)))  # once per delay is legal
+        rt = NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 1)))  # once per delay is legal
+        assert ticks(rt) == "buffer"  # pos0 alone takes a0 of the tick before
         with pytest.raises(ValueError, match=r"neuron 'adder\.agg_pos\[0\]' has two "
                                              r"synapses from 'a\[0\]' with delay 0"):
             NetlistRuntime(with_synapses(nl, (a0, pos0, 2, 0)))
@@ -908,6 +920,19 @@ def kernels(rt):
     table, or synapse by synapse."""
     return ["table" if points is not None else "synapse"
             for _, _, _, points, _ in rt._levels]
+
+
+def ticks(rt):
+    """How rt ticks: by winners, or with the firing buffer."""
+    return "buffer" if rt._plan is None else "winners"
+
+
+def port_owners(rt):
+    """Per group of a runtime that ticks by winners, its ports in row
+    order, each as (the population or unit it reads, delay)."""
+    names = [*rt._inputs, *(u for u, _ in sorted(rt._place, key=lambda unit: unit[1]))]
+    return [[(names[i % len(names)], i // len(names)) for i, _ in ports]
+            for _, ports, _, _ in rt._plan]
 
 
 def after_broadcast(extra):
@@ -930,7 +955,8 @@ def after_broadcast(extra):
 class TestTables:
     """A broadcast level, and the level after it when it reads only that
     level at delay 0, replay from one firing table keyed by the class of
-    the broadcast level's sum."""
+    the broadcast level's sum.  A graph of such groups alone, whose rows
+    are runs of one-hot populations, ticks by winners."""
 
     @pytest.mark.parametrize("quantized", [False, True])
     @pytest.mark.parametrize("n", [15, 151])
@@ -939,7 +965,7 @@ class TestTables:
         unit's neurons; the error unit's inputs are read as a slice."""
         net = build_npid(default_config(n=n, quantized=quantized))
         rt = NetlistRuntime(net.export_netlist())
-        assert kernels(rt) == ["table"] * 3
+        assert kernels(rt) == ["table"] * 3 and ticks(rt) == "winners"
         first = 3 * n  # target, measurement and derivative come first
         for (nodes, *_), unit in zip(rt._levels, net.units):
             assert nodes == slice(first, first + unit.neuron_count)
@@ -969,7 +995,7 @@ class TestTables:
                 for active in itertools.product((0, 1), repeat=3)]
         assert math.copysign(math.inf, big) in sums and not any(map(math.isnan, sums))
         rt = NetlistRuntime(summing_netlist(range(3), weights, relay))
-        assert kernels(rt) == ["table"]
+        assert kernels(rt) == ["table"] and ticks(rt) == "winners"
         for active, s in zip(itertools.product((0, 1), repeat=3), sums):
             assert rt.step({f"p{i}": a for i, a in enumerate(active)}) == {
                 "u": int(s >= 0.5)}, active
@@ -985,7 +1011,7 @@ class TestTables:
         edges = [(1, 2, 1.0, 0), (1, 4, -1.0, 0), (2, 3, 1.0, 0), (4, 5, 1.0, 0)]
         rt = NetlistRuntime(Netlist(neurons, Synapses(*map(list, zip(*edges))), {
             "grids": {"p0": make_grid(0, 1, 2).to_dict()}, "unit_outputs": {}}))
-        assert kernels(rt) == ["table"]
+        assert kernels(rt) == ["table"] and ticks(rt) == "winners"
         for b in (0, 1, 1, 0):
             rt.step({"p0": b})
             assert rt.fired[2:].tolist() == [b == 1, b == 1, b == 0, b == 0], b
@@ -998,7 +1024,7 @@ class TestTables:
         order gives 1."""
         assert file_order_sum((1e16, 1.0, -1e16)) == 0.0
         rt = NetlistRuntime(after_broadcast(extra))
-        assert kernels(rt) == ["table", "synapse"]
+        assert kernels(rt) == ["table", "synapse"] and ticks(rt) == "buffer"
         last, apart = False, False
         for active in [*itertools.product((0, 1), repeat=2)] * 3:
             assert rt.step({"p0": active[0], "p1": active[1]}) == {}
@@ -1009,6 +1035,65 @@ class TestTables:
             assert rt.fired[4:].tolist() == [h, h, s >= 0.5, h], active
             last = h
         assert apart
+
+
+class TestWinners:
+    """An export ticks by winners: one weight per port, in row order, one
+    bisect and each unit's winner per group."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("n", [15, 151])
+    def test_export_ticks_by_winners(self, n, quantized):
+        """Each unit's group has one port per wiring entry, in the unit's
+        port order, and 300 ticks never touch the firing buffer."""
+        net = build_npid(default_config(n=n, quantized=quantized))
+        rt = NetlistRuntime(net.export_netlist())
+        assert ticks(rt) == "winners"
+        assert port_owners(rt) == [
+            [("target", 0), ("measurement", 0)], [("integral", 1), ("error", 0)],
+            [("error", 0), ("integral", 0), ("derivative", 0)]]
+        assert [len(winners) for _, _, winners, _ in rt._plan] == [
+            len(points) + 1 for points, *_ in rt._plan]
+
+        def buffer_tick(*_):
+            raise AssertionError("ticked with the firing buffer")
+
+        rt._tick = buffer_tick
+        net.record_raster(True, raster=False)
+        for k, (x, s) in enumerate(cosim_inputs(net.config, 300, seed=12)):
+            net.step(*x)
+            tr = net.fetch_trace()
+            assert rt.step(s) == {"error": tr.error_bin[k], "integral": tr.integral_bin[k],
+                                  "control": tr.output_bin[k]}, k
+
+    def test_quantized_export_keeps_its_no_winner_classes(self):
+        """The N=151 nearest quantized step-experiment export has classes
+        where a unit has no winner (2, 7 and 2 of 153: each lies strictly
+        between two integers, so no integer sum lands there), and builds:
+        its ports' weights, in row order, are its units' weight rows."""
+        net = build_npid(step_experiment(n=151, quantized=True).npid)
+        assert net.config.mode == "nearest"
+        rt = NetlistRuntime(net.export_netlist())
+        assert [winners.count(None) for _, _, winners, _ in rt._plan] == [2, 7, 2]
+        assert [len(winners) for _, _, winners, _ in rt._plan] == [153] * 3
+        for (_, ports, _, _), unit in zip(rt._plan, net.units):
+            assert [w for _, w in ports] == [[*a.tolist(), 0.0] for a in unit._weight_arrs]
+
+    def test_reduce_with_two_winners_is_named_by_its_unit(self):
+        """S = 0.5 fires both reduce neurons of unit u (-S >= -0.5 and
+        S >= 0.5): the tick raises naming the unit, its firing shows both,
+        and the ticks after it replay as a fresh runtime does."""
+        nl = summing_netlist([0, 1], [0.5, 1.0], relay=False)
+        rt = NetlistRuntime(nl)
+        assert ticks(rt) == "winners"
+        assert rt.step({"p0": 1, "p1": 1}) == {"u": 1}
+        with pytest.raises(AssertionError, match="^unit 'u' reduce produced 2 winners$"):
+            rt.step({"p0": 1, "p1": 0})
+        assert rt.fired[-2:].tolist() == [True, True]
+        fresh = NetlistRuntime(nl)
+        for stimuli in ({"p0": 0, "p1": 0}, {"p0": 0, "p1": 1}):
+            assert rt.step(stimuli) == fresh.step(stimuli)
+            assert np.array_equal(rt.fired, fresh.fired)
 
 
 class TestReplayProperty:
@@ -1030,3 +1115,163 @@ class TestReplayProperty:
             build_npid(cfg).export_netlist().save(path)
             report = cosimulate(cfg, 200, seed, against=(path,))
         assert report.ok, report.summary()
+
+
+# Weights and thresholds of the random graphs: signed zeros, the smallest
+# and largest finite magnitudes, and small values whose sums round.
+GRAPH_WEIGHTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 7.0, -7.0, 1e308, -1e308, 1e-300)
+GRAPH_THRESHOLDS = (-0.0, math.ulp(0.0), 1e308, 0.0, 0.5, 1.0, -1.0, 3.0, -7.0)
+
+
+@st.composite
+def graphs(draw):
+    """A netlist that validate accepts, and 20 ticks of stimuli.
+
+    1-3 input populations of 1-4 bins, then 1-5 levels of 1-5 neurons,
+    each one of four shapes (or, in half the draws, units only):
+    broadcast (a shared row order, one weight per row times each
+    neuron's sign), fed only by the level before, sparse over all
+    earlier neurons, or a unit.  A unit is a broadcast level of one-hot
+    ports (input populations and earlier units at delay 0, and its own
+    reduce layer at delay 1) with thresholds ascending in most draws,
+    and a reduce layer that fires one winner per class when they ascend
+    and none of its neurons is silent.  Then 0-4 extra synapses (most
+    often none), most at delay 1, which may close a zero-delay cycle or
+    double a source; and the file order shuffled in half the draws."""
+    weight, threshold = st.sampled_from(GRAPH_WEIGHTS), st.sampled_from(GRAPH_THRESHOLDS)
+    ids, layers, thresholds, edges = [], [], [], []
+    grids, outputs, owners = {}, {}, []  # owners: each one-hot population's neurons
+
+    def add(name, layer, t):
+        ids.append(name)
+        layers.append(layer)
+        thresholds.append(t)
+        return len(ids) - 1
+
+    for p in range(draw(st.integers(1, 3))):
+        grids[f"p{p}"] = {"n": draw(st.integers(1, 4))}
+        owners.append([add(f"p{p}[{b}]", LAYER_INPUT, 0.0) for b in range(grids[f"p{p}"]["n"])])
+    before = [v for pop in owners for v in pop]
+    shapes = st.sampled_from(["broadcast", "before", "sparse", "unit"] if draw(st.booleans())
+                             else ["unit"])
+    for level in range(draw(st.integers(1, 5))):
+        earlier, shape = list(range(len(ids))), draw(shapes)
+        k = draw(st.integers(1, 5))
+        if shape == "unit":
+            mine = [(v, 0) for v in range(len(ids), len(ids) + k + 1)]  # its reduce layer
+            # Its ports: the newest owner, up to two older ones, and in half
+            # the draws its own reduce layer (owner len(owners)), in any order.
+            ports = [len(owners) - 1, *draw(st.lists(st.integers(0, len(owners) - 1),
+                                                     max_size=2, unique=True))]
+            ports = draw(st.permutations(sorted(set(ports)) + [len(owners)] * draw(st.booleans())))
+            rows = [row for o in ports for row in draw(st.permutations(
+                [(v, 0) for v in owners[o]] if o < len(owners) else
+                [(len(ids) + k + v, 1) for v in range(k + 1)]))]
+            ts = draw(st.lists(threshold, min_size=k, max_size=k))
+            if draw(st.integers(0, 3)):
+                ts.sort()
+            agg = [add(f"u{len(outputs)}.agg[{j}]", "aggregate-pos", t) for j, t in enumerate(ts)]
+            ws = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+            edges += [(src, dst, w, d) for (src, d), w in zip(rows, ws) for dst in agg]
+            # reduce[j] fires iff agg[j - 1] fires and agg[j] does not, but
+            # for a silent one (threshold 3), in half the draws.
+            silent = draw(st.sampled_from([None] * (k + 1) + list(range(k + 1))))
+            for j in range(k + 1):
+                r = add(f"u{len(outputs)}.reduce[{j}]", "reduce",
+                        3.0 if j == silent else 1.0 if j else -1.0)
+                edges += [(agg[j - 1], r, 2.0, 0)] if j else []
+                edges += [(agg[j], r, -2.0, 0)] if j < k else []
+            owners.append([v for v, _ in mine])
+            outputs[f"u{len(outputs)}"] = {"n": k + 1}
+            before = agg + owners[-1]
+            continue
+        nodes = [add(f"h{level}.{j}", "hidden", draw(threshold)) for j in range(k)]
+        if shape == "broadcast":
+            rows = draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=6, unique=True))
+            ws = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+            signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=k, max_size=k))
+            edges += [(src, dst, w * sign, 0) for src, w in zip(rows, ws)
+                      for dst, sign in zip(nodes, signs)]
+        else:
+            pool = before if shape == "before" else earlier
+            for dst in nodes:
+                srcs = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+                edges += [(src, dst, draw(weight), 0) for src in srcs]
+        before = nodes
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3, 4)))):
+        edges.append((draw(st.sampled_from(range(len(ids)))), draw(st.sampled_from(range(len(ids)))),
+                      draw(weight), draw(st.sampled_from((1, 1, 1, 0)))))
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    src, dst, w, delay = zip(*edges) if edges else ((), (), (), ())
+    nl = Netlist(Neurons(np.array(ids), np.array(layers), np.array(thresholds)),
+                 Synapses(np.array(src, np.int32), np.array(dst, np.int32),
+                          np.array(w, np.float64), np.array(delay, np.int8)),
+                 {"grids": grids, "unit_outputs": outputs})
+    ticks = draw(st.lists(st.fixed_dictionaries(
+        {pop: st.integers(0, grid["n"] - 1) for pop, grid in grids.items()}),
+        min_size=20, max_size=20))
+    return nl, ticks
+
+
+def tick_alike(runtimes, lit, stimuli):
+    """One tick of each runtime and of the literal simulator: the same
+    winners (or the same AssertionError, naming the first unit without
+    one), the same firing and the same event count."""
+    want = lit.step(stimuli)
+    bad = [(u, len(bins)) for u, bins in want.items() if len(bins) != 1]
+    for rt in runtimes:
+        if bad:
+            with pytest.raises(AssertionError, match=re.escape(
+                    f"unit {bad[0][0]!r} reduce produced {bad[0][1]} winners")):
+                rt.step(stimuli)
+        else:
+            assert rt.step(stimuli) == {u: bins[0] for u, bins in want.items()}
+        assert rt.fired.tolist() == lit.fired
+        assert rt.events == lit.events
+
+
+class TestLiteralProperty:
+    """Random graphs that validate accepts replay as the literal simulator
+    of tests/literal.py does."""
+
+    @given(graph=graphs())
+    @settings(max_examples=200, deadline=None)  # about 3 s
+    def test_runtime_equals_the_literal_simulator(self, graph):
+        """Init raises a ValueError naming a neuron, for the graphs the
+        runtime refuses; or 20 ticks replay as the literal simulator
+        does, and so do 20 more after reset(), as a fresh runtime's."""
+        nl, ticks = graph
+        why = literal.refusal(nl)
+        if why is not None:
+            with pytest.raises(ValueError, match=why) as err:
+                NetlistRuntime(nl)
+            assert re.search(r"'([^']*)'", str(err.value))[1] in nl.neurons.id.tolist()
+            return
+        rt, lit = NetlistRuntime(nl), literal.Literal(nl)
+        event("ticks by winners" if rt._plan is not None else "ticks with the firing buffer")
+        for stimuli in ticks:
+            tick_alike([rt], lit, stimuli)
+        rt.reset()
+        lit.reset()
+        fresh = NetlistRuntime(nl)
+        for stimuli in ticks[::-1]:
+            tick_alike([rt, fresh], lit, stimuli)
+
+    def test_literal_simulator_reads_any_delay(self):
+        """x takes bin 1 of p0 at delay 2 and y takes x at delay 0: each
+        fires two ticks after p0's bin 1, which validate (delays 0 and 1)
+        would refuse but the simulator reads from its ring."""
+        nl = Netlist(Neurons(["p0[0]", "p0[1]", "x", "y"], [LAYER_INPUT] * 2 + ["hidden"] * 2,
+                             [0, 0, 0.5, 0.5]),
+                     Synapses([1, 2], [2, 3], [1.0, 1.0], [2, 0]), {"grids": {"p0": {"n": 2}}})
+        lit = literal.Literal(nl)
+        fired = []
+        for b in (1, 0, 0, 1, 0, 0):
+            lit.step({"p0": b})
+            fired.append(lit.fired[2:])
+        assert fired == [[False] * 2] * 2 + [[True] * 2] + [[False] * 2] * 2 + [[True] * 2]
+        assert lit.events == 1 + 1  # x's in-edge from two ticks ago, y's from x now
+        lit.reset()
+        lit.step({"p0": 1})
+        assert lit.fired == [False, True, False, False] and lit.events == 0
